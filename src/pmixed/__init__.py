@@ -49,7 +49,7 @@ from .models import (
     save_snapshot,
     train_ngram,
 )
-from .mollifier import MollificationResult, mix, mollifier_membership, solve_lambda
+from .mollifier import MollificationResult, mix, mollifier_membership, solve_lambda, solve_lambdas
 from .protocol import PredictionSession, QueryRecord, aggregate, poisson_subsample, sample_token
 
 __version__ = "0.1.0"
@@ -101,6 +101,7 @@ __all__ = [
     "session_accountant_record",
     "solve_beta_star",
     "solve_lambda",
+    "solve_lambdas",
     "subsampled_eps",
     "symmetric_renyi",
     "train_ngram",

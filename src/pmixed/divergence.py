@@ -107,30 +107,38 @@ def _matched(p, q) -> tuple[np.ndarray, np.ndarray]:
     return pa, qa
 
 
-def _renyi_arrays(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """Directed divergence on raw normalized arrays; alpha already validated."""
-    if p is q or np.array_equal(p, q):
-        return 0.0
-    support = p > 0.0
-    ps = p[support]
-    qs = q[support]
-    if np.any(qs == 0.0):
-        return math.inf
+def _renyi_arrays(p: np.ndarray, q: np.ndarray, alpha: float,
+                  symmetric: bool = False) -> np.ndarray:
+    """Row-wise ``D(p || q)``, or the larger of both directions if ``symmetric``,
+    for normalized ``(V,)`` or ``(k, V)`` arrays that broadcast together.
+
+    Masks handle support: a row is ``inf`` where ``q`` misses part of its
+    support (in both directions: where the supports differ) and exactly 0
+    where it equals ``q``.  ``alpha`` is already validated.
+    """
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
+    support, covered = p > 0.0, q > 0.0
+    logp = np.log(np.where(support, p, 1.0))
+    logq = np.log(np.where(covered, q, 1.0))
+    directions = ((logp, logq), (logq, logp))[: 1 + symmetric]
+    terms = np.stack([lp - lq if math.isinf(alpha) else alpha * lp + (1.0 - alpha) * lq
+                      for lp, lq in directions])
+    terms = np.where(support, terms, -np.inf)
     if math.isinf(alpha):
-        return max(float(np.max(np.log(ps) - np.log(qs))), 0.0)
-    # Max-shifted log-sum-exp of alpha*log(p) + (1-alpha)*log(q); the shift
-    # keeps the sum representable for peaked distributions.
-    terms = alpha * np.log(ps) + (1.0 - alpha) * np.log(qs)
-    shift = float(terms.max())
-    total = shift + math.log(float(np.exp(terms - shift).sum()))
-    return max(total / (alpha - 1.0), 0.0)
-
-
-def _symmetric_arrays(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    forward = _renyi_arrays(p, q, alpha)
-    if math.isinf(forward):
-        return forward
-    return max(forward, _renyi_arrays(q, p, alpha))
+        total = terms.max(axis=-1)
+    else:
+        # Max-shifted log-sum-exp; the shift keeps the sum representable for
+        # peaked distributions.  The last log is libm's, per row, so the
+        # result does not depend on which SIMD log numpy dispatches to.
+        shift = terms.max(axis=-1, keepdims=True)
+        sums = np.exp(terms - shift).sum(axis=-1)
+        logs = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)
+        total = (shift[..., 0] + logs.reshape(sums.shape)) / (alpha - 1.0)
+    result = np.maximum(total.max(axis=0), 0.0)
+    missing = support != covered if symmetric else support & ~covered
+    result[np.any(missing, axis=-1)] = math.inf
+    result[np.all(p == q, axis=-1)] = 0.0
+    return result
 
 
 def renyi_divergence(p, q, alpha) -> float:
@@ -143,11 +151,11 @@ def renyi_divergence(p, q, alpha) -> float:
     """
     a = check_order(alpha)
     pa, qa = _matched(p, q)
-    return _renyi_arrays(pa, qa, a)
+    return float(_renyi_arrays(pa, qa, a)[0])
 
 
 def symmetric_renyi(p, q, alpha) -> float:
     """Maximum of the two directed order-``alpha`` divergences."""
     a = check_order(alpha)
     pa, qa = _matched(p, q)
-    return _symmetric_arrays(pa, qa, a)
+    return float(_renyi_arrays(pa, qa, a, symmetric=True)[0])

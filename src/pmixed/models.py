@@ -141,7 +141,9 @@ class NGramModel(LanguageModel):
         weights = np.full(self.vocab.size, self.smoothing_k, dtype=np.float64)
         for token, count in self.counts.get(window, {}).items():
             weights[token] += count
-        dist = Distribution(weights / weights.sum())
+        # Distribution()'s divisions; nonnegative counts + k > 0 make it valid
+        probs = weights / weights.sum()
+        dist = Distribution._already_normalized(probs / float(probs.sum()))
         self._cache[window] = dist
         return dist
 

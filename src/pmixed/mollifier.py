@@ -1,11 +1,15 @@
-"""Projection of a private distribution toward a public reference.
+"""Projection of private distributions toward a public reference.
 
 The projection moves along the mixing path ``lam * p + (1 - lam) * p0`` and
 keeps the largest mixing weight for which the symmetric Renyi divergence
 from the public distribution stays within the ball of radius
 ``beta * alpha``.  The constraint is monotone in the weight, so the weight
-is found by bisection, and the solver only ever returns weights it has
-verified feasible: the divergence bound is never exceeded by solver error.
+is found by one bisection over a ``(k, V)`` stack of rows, such as a query's
+whole subset.  A row feasible at weight 1 keeps weight 1.  Every other row
+runs the same fixed number of halving steps (20 at the default tolerance)
+on its own bracket and returns the bracket's lower endpoint, which starts at
+weight 0 (``p0`` itself) and moves only to weights verified feasible by the
+divergence kernel that the membership check also uses.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import Distribution, _matched, _symmetric_arrays, check_order
+from .accounting import _check_radius
+from .divergence import Distribution, _as_probs, _matched, _renyi_arrays, check_order
 
 DEFAULT_LAMBDA_TOL = 1e-6
 MAX_BISECTION_STEPS = 100
@@ -36,14 +41,7 @@ def _check_finite_order(alpha) -> float:
     return a
 
 
-def _check_radius(beta) -> float:
-    b = float(beta)
-    if math.isnan(b) or b < 0.0:
-        raise ValueError(f"mollifier radius must be nonnegative, got {beta!r}")
-    return b
-
-
-def _mix_arrays(p: np.ndarray, q: np.ndarray, lam: float) -> np.ndarray:
+def _mix_arrays(p: np.ndarray, q: np.ndarray, lam) -> np.ndarray:
     return lam * p + (1.0 - lam) * q
 
 
@@ -64,50 +62,52 @@ def mollifier_membership(pbar, p0, alpha, beta) -> bool:
     a = _check_finite_order(alpha)
     b = _check_radius(beta)
     pa, qa = _matched(pbar, p0)
-    return _symmetric_arrays(pa, qa, a) <= b * a
+    return bool(_renyi_arrays(pa, qa, a, symmetric=True)[0] <= b * a)
 
 
-def solve_lambda(p, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> MollificationResult:
-    """Largest mixing weight whose mixture stays inside the radius-``beta`` ball.
+def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.ndarray:
+    """Largest feasible mixing weight, within ``tol``, for every row of ``P``.
 
-    The symmetric divergence of the mixture from ``p0`` is monotonically
-    nondecreasing in the weight, so bisection applies.  The search keeps the
-    feasible endpoint of the bracket and returns it once the bracket is
-    narrower than ``tol``; weight 0 reproduces ``p0`` with divergence
-    exactly 0, so a solution always exists, and if the full weight 1 is
-    already feasible no search is performed.
-
-    Args:
-      p: private distribution to project.
-      p0: public reference distribution.
-      alpha: finite divergence order.
-      beta: nonnegative ball radius; the divergence bound is ``beta * alpha``.
-      tol: absolute tolerance on the returned weight.
-
-    Returns:
-      A :class:`MollificationResult` whose projected distribution satisfies
-      the divergence bound.
+    ``P`` is a ``(k, V)`` stack of normalized private distributions and
+    ``p0`` the public distribution; the bound is ``beta * alpha`` at finite
+    order ``alpha``.  Returns ``k`` weights; row ``i``'s depends only on
+    ``P[i]``, and its mixture with ``p0`` satisfies the bound.
     """
     a = _check_finite_order(alpha)
     b = _check_radius(beta)
     if not float(tol) > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    rows = np.asarray(P, dtype=np.float64)
+    qa = _as_probs(p0)
+    if rows.ndim != 2 or rows.shape[1] != qa.size:
+        raise ValueError(f"expected a (k, {qa.size}) stack of rows, got shape {rows.shape}")
+
+    def feasible(stack: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        mixtures = _mix_arrays(stack, qa, lam[:, np.newaxis])
+        return _renyi_arrays(mixtures, qa, a, symmetric=True) <= b * a
+
+    weights = np.ones(rows.shape[0])
+    search = ~feasible(rows, weights)
+    if search.any():
+        rows = rows[search]
+        lo, hi = np.zeros(rows.shape[0]), np.ones(rows.shape[0])
+        width = 1.0  # every row's hi - lo, exactly: the endpoints stay dyadic
+        for _ in range(MAX_BISECTION_STEPS):
+            if width <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            ok = feasible(rows, mid)
+            lo = np.where(ok, mid, lo)  # lo stays feasible: it starts at p0 itself
+            hi = np.where(ok, hi, mid)
+            width *= 0.5
+        weights[search] = lo
+    return weights
+
+
+def solve_lambda(p, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> MollificationResult:
+    """Largest mixing weight whose mixture stays inside the radius-``beta``
+    ball: the one-row case of :func:`solve_lambdas`, with the projection."""
+    p0 = p0 if isinstance(p0, Distribution) else Distribution(p0)
     pa, qa = _matched(p, p0)
-    radius = b * a
-
-    def feasible(lam: float) -> bool:
-        return _symmetric_arrays(_mix_arrays(pa, qa, lam), qa, a) <= radius
-
-    if feasible(1.0):
-        return MollificationResult(1.0, Distribution._already_normalized(_mix_arrays(pa, qa, 1.0)))
-
-    lo, hi = 0.0, 1.0  # lam = 0 is feasible: the mixture is p0 bitwise
-    for _ in range(MAX_BISECTION_STEPS):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return MollificationResult(lo, Distribution._already_normalized(_mix_arrays(pa, qa, lo)))
+    lam = float(solve_lambdas(pa[np.newaxis, :], p0, alpha, beta, tol)[0])
+    return MollificationResult(lam, Distribution._already_normalized(_mix_arrays(pa, qa, lam)))

@@ -26,7 +26,7 @@ from .accounting import (
     subsampled_eps,
 )
 from .divergence import Distribution
-from .mollifier import DEFAULT_LAMBDA_TOL, solve_lambda
+from .mollifier import DEFAULT_LAMBDA_TOL, _mix_arrays, solve_lambdas
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,10 @@ def aggregate(projected: Sequence[Distribution]) -> Distribution:
     """Entrywise arithmetic mean of the projected distributions."""
     if len(projected) == 0:
         raise ValueError("cannot aggregate an empty list; release the public model instead")
-    sizes = {d.vocab_size for d in projected}
-    if len(sizes) != 1:
-        raise ValueError(f"vocabulary sizes differ: {sorted(sizes)}")
-    stacked = np.stack([d.probs for d in projected])
+    return _mean_row(np.stack([d.probs for d in projected]))  # rejects mixed vocabularies
+
+
+def _mean_row(stacked: np.ndarray) -> Distribution:
     return Distribution._already_normalized(stacked.mean(axis=0))
 
 
@@ -122,23 +122,15 @@ class PredictionSession:
             )
         subset = poisson_subsample(self.params.N, self.params.q, self.rng)
         public_dist = self.public_model.distribution(query)
-        weights: dict[int, float] = {}
         if subset.size == 0:
-            released = public_dist
+            released, weights = public_dist, {}
         else:
-            projected = []
-            for i in subset:
-                member_dist = self.ensemble[int(i)].distribution(query)
-                result = solve_lambda(
-                    member_dist,
-                    public_dist,
-                    self.params.alpha,
-                    self.beta_star,
-                    tol=self.lambda_tol,
-                )
-                weights[int(i)] = result.mixing_weight
-                projected.append(result.projected)
-            released = aggregate(projected)
+            members = np.stack([self.ensemble[i].distribution(query).probs
+                                for i in subset.tolist()])
+            lams = solve_lambdas(members, public_dist, self.params.alpha,
+                                 self.beta_star, tol=self.lambda_tol)
+            released = _mean_row(_mix_arrays(members, public_dist.probs, lams[:, np.newaxis]))
+            weights = dict(zip(subset.tolist(), lams.tolist()))
         token = sample_token(released, self.rng)
         self.ledger.charge()
         record = QueryRecord(

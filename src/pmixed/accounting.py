@@ -57,12 +57,6 @@ def check_integer_order(alpha) -> int:
     return a
 
 
-def _check_count(value, name: str) -> int:
-    if int(value) != value or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def _check_radius(beta) -> float:
     b = float(beta)
     if math.isnan(b) or b < 0.0:
@@ -103,11 +97,15 @@ class PrivacyParams:
             raise ValueError(f"eps_g must be positive, got {self.eps_g!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        object.__setattr__(self, "T", _check_count(self.T, "T"))
+        if int(self.T) != self.T or self.T < 1:
+            raise ValueError(f"T must be a positive integer, got {self.T!r}")
+        object.__setattr__(self, "T", int(self.T))
         object.__setattr__(self, "alpha", check_integer_order(self.alpha))
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must lie in (0, 1], got {self.q!r}")
-        object.__setattr__(self, "N", _check_count(self.N, "N"))
+        if int(self.N) != self.N or self.N < 1:
+            raise ValueError(f"N must be a positive integer, got {self.N!r}")
+        object.__setattr__(self, "N", int(self.N))
 
 
 def beta_max(N: int, eps_g: float, T: int, alpha: int) -> float:
@@ -119,10 +117,12 @@ def beta_max(N: int, eps_g: float, T: int, alpha: int) -> float:
     least 1, so the result is nonnegative.
     """
     a = check_integer_order(alpha)
-    _check_count(N, "ensemble size")
+    if int(N) != N or N < 1:
+        raise ValueError(f"ensemble size must be a positive integer, got {N!r}")
     if not eps_g > 0.0:
         raise ValueError(f"eps_g must be positive, got {eps_g!r}")
-    _check_count(T, "T")
+    if int(T) != T or T < 1:
+        raise ValueError(f"T must be a positive integer, got {T!r}")
     if N == 1:
         return eps_g / (T * a)
     return _log1p_scaled_expm1(float(N), (a - 1) * eps_g / T) / (4.0 * (a - 1) * a)
@@ -158,7 +158,8 @@ def base_eps_for_order(beta: float, k: int, N: int, mode: EpsMode) -> float:
     over every size the subsample could realize.
     """
     k = check_integer_order(k)
-    _check_count(N, "ensemble size")
+    if int(N) != N or N < 1:
+        raise ValueError(f"ensemble size must be a positive integer, got {N!r}")
     if mode is EpsMode.PAPER_FAITHFUL:
         return per_query_eps(beta, k, N)
     if mode is EpsMode.CONSERVATIVE:
@@ -258,7 +259,8 @@ def compose(per_query: float, T: int) -> float:
     """Total loss of ``T`` sequential rounds each costing ``per_query``."""
     if per_query < 0.0:
         raise ValueError(f"per-query loss must be nonnegative, got {per_query!r}")
-    _check_count(T, "T")
+    if int(T) != T or T < 1:
+        raise ValueError(f"T must be a positive integer, got {T!r}")
     return T * per_query
 
 
@@ -278,13 +280,15 @@ def beta_infinite_order(N: int, eps_g: float, T: int, alpha: float) -> float:
     Diagnostic companion to :func:`beta_max`: the max-divergence argument
     yields ``log(N * e**(eps_g / T) + 1 - N) / (2 * alpha)``.
     """
-    _check_count(N, "ensemble size")
+    if int(N) != N or N < 1:
+        raise ValueError(f"ensemble size must be a positive integer, got {N!r}")
     a = float(alpha)
     if not a > 1.0:
         raise ValueError(f"order must be > 1, got {alpha!r}")
     if not eps_g > 0.0:
         raise ValueError(f"eps_g must be positive, got {eps_g!r}")
-    _check_count(T, "T")
+    if int(T) != T or T < 1:
+        raise ValueError(f"T must be a positive integer, got {T!r}")
     return _log1p_scaled_expm1(float(N), eps_g / T) / (2.0 * a)
 
 
@@ -295,7 +299,8 @@ def beta_infinite_order_lower(N: int, eps_g: float, T: int, alpha: float):
     argument is positive and ``None`` otherwise (the bound is then vacuous).
     The upper bound of :func:`beta_infinite_order` always dominates it.
     """
-    _check_count(N, "ensemble size")
+    if int(N) != N or N < 1:
+        raise ValueError(f"ensemble size must be a positive integer, got {N!r}")
     a = float(alpha)
     if not a > 1.0:
         raise ValueError(f"order must be > 1, got {alpha!r}")

@@ -110,12 +110,9 @@ def _matched(p, q) -> tuple[np.ndarray, np.ndarray]:
 def _renyi_arrays(p: np.ndarray, q: np.ndarray, alpha: float,
                   symmetric: bool = False) -> np.ndarray:
     """Row-wise ``D(p || q)``, or the larger of both directions if ``symmetric``,
-    for normalized ``(V,)`` or ``(k, V)`` arrays that broadcast together.
-
-    Masks handle support: a row is ``inf`` where ``q`` misses part of its
-    support (in both directions: where the supports differ) and exactly 0
-    where it equals ``q``.  ``alpha`` is already validated.
-    """
+    over normalized ``(V,)`` or ``(k, V)`` arrays that broadcast together.
+    Support is masked: a row is ``inf`` where ``q`` misses part of ``p``'s
+    support (symmetric: where the supports differ) and 0 where ``p == q``."""
     p, q = np.atleast_2d(p), np.atleast_2d(q)
     support, covered = p > 0.0, q > 0.0
     logp = np.log(np.where(support, p, 1.0))
@@ -127,9 +124,8 @@ def _renyi_arrays(p: np.ndarray, q: np.ndarray, alpha: float,
     if math.isinf(alpha):
         total = terms.max(axis=-1)
     else:
-        # Max-shifted log-sum-exp; the shift keeps the sum representable for
-        # peaked distributions.  The last log is libm's, per row, so the
-        # result does not depend on which SIMD log numpy dispatches to.
+        # Max-shifted log-sum-exp keeps peaked rows representable; the last
+        # log is libm's, per row, so results do not depend on numpy's SIMD log.
         shift = terms.max(axis=-1, keepdims=True)
         sums = np.exp(terms - shift).sum(axis=-1)
         logs = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)

@@ -140,8 +140,10 @@ class NGramModel(LanguageModel):
             return cached
         weights = np.full(self.vocab.size, self.smoothing_k, dtype=np.float64)
         for token, count in self.counts.get(window, {}).items():
+            if not count >= 0:
+                raise ValueError(f"counts must be nonnegative, got {count!r} after {window!r}")
             weights[token] += count
-        # Distribution()'s divisions; nonnegative counts + k > 0 make it valid
+        # Distribution()'s divisions; the checked counts and k > 0 make it valid
         probs = weights / weights.sum()
         dist = Distribution._already_normalized(probs / float(probs.sum()))
         self._cache[window] = dist

@@ -3,13 +3,13 @@
 The projection moves along the mixing path ``lam * p + (1 - lam) * p0`` and
 keeps the largest mixing weight for which the symmetric Renyi divergence
 from the public distribution stays within the ball of radius
-``beta * alpha``.  The constraint is monotone in the weight, so the weight
-is found by one bisection over a ``(k, V)`` stack of rows, such as a query's
-whole subset.  A row feasible at weight 1 keeps weight 1.  Every other row
-runs the same fixed number of halving steps (20 at the default tolerance)
-on its own bracket and returns the bracket's lower endpoint, which starts at
-weight 0 (``p0`` itself) and moves only to weights verified feasible by the
-divergence kernel that the membership check also uses.
+``beta * alpha``.  The constraint is monotone in the weight, so one
+bisection over a ``(k, V)`` stack, such as a query's whole subset, finds
+every row's weight.  A row feasible at weight 1 keeps it; every other row
+runs the same fixed number of halvings (20 at the default tolerance) and
+returns its bracket's lower endpoint, which starts at ``p0`` itself and
+moves only to weights verified feasible by the kernel the membership check
+also uses.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import _check_radius
-from .divergence import Distribution, _as_probs, _matched, _renyi_arrays, check_order
+from .divergence import (NORMALIZATION_ATOL, Distribution, _as_probs, _matched, _renyi_arrays,
+                         check_order)
 
 DEFAULT_LAMBDA_TOL = 1e-6
 MAX_BISECTION_STEPS = 100
@@ -66,12 +67,12 @@ def mollifier_membership(pbar, p0, alpha, beta) -> bool:
 
 
 def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.ndarray:
-    """Largest feasible mixing weight, within ``tol``, for every row of ``P``.
+    """One weight per row of ``P``: the largest, within ``tol``, whose mixture
+    with ``p0`` stays within ``beta * alpha`` at finite order ``alpha``.
 
-    ``P`` is a ``(k, V)`` stack of normalized private distributions and
-    ``p0`` the public distribution; the bound is ``beta * alpha`` at finite
-    order ``alpha``.  Returns ``k`` weights; row ``i``'s depends only on
-    ``P[i]``, and its mixture with ``p0`` satisfies the bound.
+    ``P`` is a ``(k, V)`` stack of private distributions, checked like a
+    :class:`Distribution` but used as given.  Row ``i``'s weight depends
+    only on ``P[i]``.
     """
     a = _check_finite_order(alpha)
     b = _check_radius(beta)
@@ -81,6 +82,9 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
     qa = _as_probs(p0)
     if rows.ndim != 2 or rows.shape[1] != qa.size:
         raise ValueError(f"expected a (k, {qa.size}) stack of rows, got shape {rows.shape}")
+    # NaN and -inf fail the sign test, +inf fails the sum test
+    if not (np.all(rows >= 0.0) and np.all(abs(rows.sum(axis=1) - 1.0) <= NORMALIZATION_ATOL)):
+        raise ValueError(f"rows must be nonnegative and sum to 1 within {NORMALIZATION_ATOL}")
 
     def feasible(stack: np.ndarray, lam: np.ndarray) -> np.ndarray:
         mixtures = _mix_arrays(stack, qa, lam[:, np.newaxis])
@@ -91,15 +95,13 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
     if search.any():
         rows = rows[search]
         lo, hi = np.zeros(rows.shape[0]), np.ones(rows.shape[0])
-        width = 1.0  # every row's hi - lo, exactly: the endpoints stay dyadic
-        for _ in range(MAX_BISECTION_STEPS):
-            if width <= tol:
+        for step in range(MAX_BISECTION_STEPS):
+            if 0.5**step <= tol:  # every row's hi - lo, exactly: the endpoints stay dyadic
                 break
             mid = 0.5 * (lo + hi)
             ok = feasible(rows, mid)
             lo = np.where(ok, mid, lo)  # lo stays feasible: it starts at p0 itself
             hi = np.where(ok, hi, mid)
-            width *= 0.5
         weights[search] = lo
     return weights
 
@@ -107,7 +109,6 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
 def solve_lambda(p, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> MollificationResult:
     """Largest mixing weight whose mixture stays inside the radius-``beta``
     ball: the one-row case of :func:`solve_lambdas`, with the projection."""
-    p0 = p0 if isinstance(p0, Distribution) else Distribution(p0)
     pa, qa = _matched(p, p0)
     lam = float(solve_lambdas(pa[np.newaxis, :], p0, alpha, beta, tol)[0])
     return MollificationResult(lam, Distribution._already_normalized(_mix_arrays(pa, qa, lam)))

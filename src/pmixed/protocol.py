@@ -57,10 +57,7 @@ def aggregate(projected: Sequence[Distribution]) -> Distribution:
     """Entrywise arithmetic mean of the projected distributions."""
     if len(projected) == 0:
         raise ValueError("cannot aggregate an empty list; release the public model instead")
-    return _mean_row(np.stack([d.probs for d in projected]))  # rejects mixed vocabularies
-
-
-def _mean_row(stacked: np.ndarray) -> Distribution:
+    stacked = np.stack([d.probs for d in projected])  # rejects mixed vocabularies
     return Distribution._already_normalized(stacked.mean(axis=0))
 
 
@@ -129,7 +126,8 @@ class PredictionSession:
                                 for i in subset.tolist()])
             lams = solve_lambdas(members, public_dist, self.params.alpha,
                                  self.beta_star, tol=self.lambda_tol)
-            released = _mean_row(_mix_arrays(members, public_dist.probs, lams[:, np.newaxis]))
+            projected = _mix_arrays(members, public_dist.probs, lams[:, np.newaxis])
+            released = Distribution._already_normalized(projected.mean(axis=0))
             weights = dict(zip(subset.tolist(), lams.tolist()))
         token = sample_token(released, self.rng)
         self.ledger.charge()

@@ -1,12 +1,17 @@
 """Vocabulary, n-gram backend, partitioner, and snapshot round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from pmixed import (
     Distribution,
     EnsembleAverageModel,
+    EpsMode,
     NGramModel,
+    PredictionSession,
+    PrivacyParams,
     StaticTableModel,
     Vocabulary,
     build_public_model,
@@ -199,6 +204,27 @@ class TestSnapshot:
             for ctx in contexts:
                 assert np.array_equal(before.distribution(ctx).probs,
                                       after.distribution(ctx).probs)
+
+    @pytest.mark.parametrize("count", [-4, -1])
+    def test_negative_count_is_refused_before_any_charge(self, vocab, tmp_path, count):
+        """-4 = -k|V| zeroes the row's total; -1 zeroes one entry."""
+        public = train_ngram([[3, 1]], 2, 1.0, vocab)
+        member = train_ngram([[1, 2]], 2, 1.0, vocab)
+        path = tmp_path / "snapshot.jsonl"
+        save_snapshot(path, vocab, public, [member])
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert records[2]["counts"] == [[[1], [[2, 1]]]]
+        records[2]["counts"] = [[[1], [[2, count]]]]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+        _, public2, members2 = load_snapshot(path)
+        params = PrivacyParams(8.0, 1e-5, 4, 3, 1.0, 1)  # q = 1: the member always answers
+        session = PredictionSession(members2, public2, params, mode=EpsMode.PAPER_FAITHFUL)
+        with pytest.raises(ValueError, match="nonnegative"):
+            session.respond([1])
+        assert session.ledger.queries_answered == 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            NGramModel(2, 1.0, vocab, {(1,): {2: count}}).distribution([1])
 
     def test_rejects_model_before_vocab(self, tmp_path):
         path = tmp_path / "broken.jsonl"

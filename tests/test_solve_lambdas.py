@@ -115,5 +115,13 @@ def test_rejects_misshapen_stacks():
         solve_lambdas(np.full((2, 3), 1 / 3), p0, 2, 0.1)
 
 
+@pytest.mark.parametrize("row", [[0.5, 0.5, np.nan, 0.0], [0.75, 0.5, -0.25, 0.0],
+                                 [np.inf, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.0]])
+def test_rejects_rows_that_are_not_distributions(row):
+    p0 = np.full(4, 0.25)
+    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+        solve_lambdas(np.vstack([p0, row]), p0, 2, 0.1)
+
+
 def test_empty_stack_gives_no_weights():
     assert solve_lambdas(np.empty((0, 4)), np.full(4, 0.25), 2, 0.1).shape == (0,)

@@ -7,6 +7,11 @@ The comparison evaluates three arms on the same test positions:
               no-privacy endpoint)
   pmixed    - the private prediction protocol, which sits between the two
 
+The protocol arm scores its positions ``QUERY_BLOCK`` queries at a time;
+the constant exists to bound memory, since a block's rows and projection
+temporaries are held at once.  The public and ensemble arms do not depend
+on the run seed, so each is scored once per comparison.
+
 Reports are line-delimited JSON records with sorted keys and floats rounded
 to 9 significant digits, so identical configurations produce byte-identical
 report files.  Sweeps additionally emit a flat tab-separated table.
@@ -19,12 +24,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .accounting import (
-    BudgetExhaustedError,
     EpsMode,
     PrivacyParams,
     accountant_record,
@@ -45,6 +49,12 @@ from .protocol import PredictionSession, QueryRecord
 # Stated in every report: scoring a test position releases a distribution,
 # so it costs a budgeted query like any user-facing answer would.
 BUDGET_POLICY = "every scored test position charges one budgeted query"
+
+# Queries answered per protocol call when scoring test positions.  A block's
+# (query, member) rows and the projection's temporaries are held at once,
+# so the block is sized to keep the evaluation's peak memory near that of
+# one query at a time; larger blocks add memory and save little time.
+QUERY_BLOCK = 64
 
 # Sweepable hyperparameters: flag spelling -> config field
 SWEEP_AXES = {
@@ -179,26 +189,42 @@ def perplexity_of_model(model: LanguageModel, test_sequences: Sequence[Sequence[
     return math.exp(nll_total / positions)
 
 
+def _target_probabilities(session: PredictionSession,
+                          test_sequences: Sequence[Sequence[int]]) -> Iterator[float]:
+    """Released probability of each position's true next token, in position
+    order, answered ``QUERY_BLOCK`` queries at a time; stops early when the
+    session's budget runs out."""
+    contexts = [seq[:t] for seq in test_sequences for t in range(len(seq))]
+    targets = [seq[t] for seq in test_sequences for t in range(len(seq))]
+    done = 0
+    while done < len(contexts):
+        size = min(QUERY_BLOCK, len(contexts) - done, session.ledger.remaining_queries)
+        if size == 0:
+            return
+        released = session.answer_block(contexts[done:done + size])
+        yield from released[np.arange(size), targets[done:done + size]].tolist()
+        done += size
+
+
 def perplexity_of_protocol(session: PredictionSession,
                            test_sequences: Sequence[Sequence[int]]) -> float:
     """Protocol perplexity; every scored position charges one budget unit.
 
-    The released aggregate distribution scores the true next token.  If the
-    session runs out of budget mid-evaluation a
+    The released aggregate distribution scores the true next token.  The
+    positions are answered in blocks of ``QUERY_BLOCK`` queries through
+    :meth:`PredictionSession.answer_block`, which releases, draws and charges
+    exactly what one :meth:`~PredictionSession.respond` call per position
+    would.  If the session runs out of budget mid-evaluation a
     :class:`PartialEvaluationError` carrying the positions scored so far is
     raised.
     """
     nll_total = 0.0
     positions = 0
-    for seq in test_sequences:
-        for t in range(len(seq)):
-            try:
-                _, record = session.respond(seq[:t])
-            except BudgetExhaustedError:
-                raise PartialEvaluationError(positions, nll_total) from None
-            prob = float(record.aggregate.probs[seq[t]])
-            nll_total += math.inf if prob <= 0.0 else -math.log(prob)
-            positions += 1
+    for prob in _target_probabilities(session, test_sequences):
+        nll_total += math.inf if prob <= 0.0 else -math.log(prob)
+        positions += 1
+    if positions < sum(len(seq) for seq in test_sequences):
+        raise PartialEvaluationError(positions, nll_total)
     if positions == 0:
         raise ValueError("test corpus contains no positions to score")
     return math.exp(nll_total / positions)
@@ -360,21 +386,23 @@ def run_comparison(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(config=config.to_dict(), seed_schedule=seeds)
     report.accountant = accountant_record(params, config.mode)
 
-    def run_arm(name, evaluate):
-        per_run = []
-        queries = []
+    def run_arm(name, evaluate, seeded=True):
+        # an unseeded arm is deterministic: score it once, report it per run
         try:
-            for run_seed in seeds:
-                value, n_queries = evaluate(run_seed)
-                per_run.append(value)
-                queries.append(n_queries)
-            report.add_arm(name, per_run, queries)
+            if seeded:
+                results = [evaluate(run_seed) for run_seed in seeds]
+            else:
+                results = [evaluate(None)] * len(seeds)
+            report.add_arm(name, [value for value, _ in results],
+                           [n_queries for _, n_queries in results])
         except Exception as err:  # record the failure, keep the other arms
             report.add_arm(name, [], error=f"{type(err).__name__}: {err}")
 
-    run_arm("public", lambda s: (perplexity_of_model(public_model, test_seqs), 0))
+    run_arm("public", lambda s: (perplexity_of_model(public_model, test_seqs), 0),
+            seeded=False)
     ensemble_model = EnsembleAverageModel(members)
-    run_arm("ensemble", lambda s: (perplexity_of_model(ensemble_model, test_seqs), 0))
+    run_arm("ensemble", lambda s: (perplexity_of_model(ensemble_model, test_seqs), 0),
+            seeded=False)
 
     def evaluate_pmixed(run_seed):
         session = PredictionSession(members, public_model, params,

@@ -90,6 +90,9 @@ class LanguageModel(ABC):
     """Deterministic next-token predictor over a shared vocabulary."""
 
     vocab: Vocabulary
+    # How many trailing context tokens the distribution depends on, or None
+    # when it may depend on the whole context.
+    context_width: int | None = None
 
     @abstractmethod
     def distribution(self, context: Sequence[int]) -> Distribution:
@@ -119,6 +122,7 @@ class NGramModel(LanguageModel):
         if not smoothing_k > 0.0:
             raise ValueError(f"smoothing_k must be positive, got {smoothing_k!r}")
         self.order = int(order)
+        self.context_width = self.order - 1
         self.smoothing_k = float(smoothing_k)
         self.vocab = vocab
         self.counts = counts if counts is not None else {}
@@ -138,10 +142,14 @@ class NGramModel(LanguageModel):
         cached = self._cache.get(window)
         if cached is not None:
             return cached
-        weights = np.full(self.vocab.size, self.smoothing_k, dtype=np.float64)
+        size = self.vocab.size
+        weights = np.full(size, self.smoothing_k, dtype=np.float64)
         for token, count in self.counts.get(window, {}).items():
             if not count >= 0:
                 raise ValueError(f"counts must be nonnegative, got {count!r} after {window!r}")
+            if not 0 <= token < size:
+                raise ValueError(f"token id {token!r} after {window!r} is outside the "
+                                 f"vocabulary of {size}")
             weights[token] += count
         # Distribution()'s divisions; the checked counts and k > 0 make it valid
         probs = weights / weights.sum()
@@ -194,15 +202,33 @@ class StaticTableModel(LanguageModel):
 
 
 class EnsembleAverageModel(LanguageModel):
-    """Uniform average of member models; the non-private ensemble baseline."""
+    """Uniform average of member models; the non-private ensemble baseline.
+
+    When every member declares a ``context_width``, the average depends only
+    on the widest member's window of the context, and each window's average
+    is computed once and cached, as :class:`NGramModel` caches its rows.
+    """
 
     def __init__(self, members: Sequence[LanguageModel]):
         if not members:
             raise ValueError("ensemble must contain at least one model")
         self.members = list(members)
         self.vocab = self.members[0].vocab
+        widths = [getattr(m, "context_width", None) for m in self.members]
+        self.context_width = None if None in widths else max(widths)
+        self._cache: dict[tuple[int, ...], Distribution] = {}
 
     def distribution(self, context: Sequence[int]) -> Distribution:
+        width = self.context_width
+        if width is None:
+            return self._average(context)
+        key = tuple(int(t) for t in context[max(len(context) - width, 0):])
+        cached = self._cache.get(key)
+        if cached is None:
+            cached = self._cache[key] = self._average(context)
+        return cached
+
+    def _average(self, context: Sequence[int]) -> Distribution:
         stacked = np.stack([m.distribution(context).probs for m in self.members])
         return Distribution._already_normalized(stacked.mean(axis=0))
 

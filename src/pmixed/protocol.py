@@ -7,6 +7,12 @@ and charge the session ledger.  When the subsample is empty the public
 distribution is released unchanged.  One seeded generator per session
 drives the subsampling and the token draw in a fixed interleaving, so a
 session's full trace is reproducible from its seed.
+
+Serving answers one query at a time with ``respond``.  Evaluation answers
+a block of queries with ``answer_block``: the block's draws come from one
+call on the same generator stream, its (query, member) pairs are projected
+in one bisection, and it releases and charges exactly what one ``respond``
+per query would.
 """
 
 from __future__ import annotations
@@ -139,6 +145,47 @@ class PredictionSession:
             sampled_token=token,
         )
         return token, record
+
+    def answer_block(self, queries: Sequence[Sequence[int]]) -> np.ndarray:
+        """Answer ``queries`` in order as one block; returns the released
+        ``(b, V)`` stack, row ``j`` answering ``queries[j]``.
+
+        Each row equals the aggregate that :meth:`respond` would release for
+        that query, and the block draws from the generator and charges the
+        ledger exactly as ``b`` calls of :meth:`respond` would: one
+        ``rng.random((b, N + 1))`` is the same stream as ``N`` subsample
+        uniforms then one token uniform per query.  Tokens are not sampled,
+        since an evaluation scores the released distribution itself.  Every
+        selected (query, member) pair of the block is projected in one
+        :func:`solve_lambdas` call, each row against its own query's public
+        distribution.  A block larger than the budget left is refused before
+        any draw; a model failure releases and charges nothing in the block.
+        """
+        n, b = self.params.N, len(queries)
+        if b > self.ledger.remaining_queries:
+            raise BudgetExhaustedError(
+                f"a block of {b} queries exceeds the "
+                f"{self.ledger.remaining_queries} answers left of {self.params.T}"
+            )
+        draws = self.rng.random((b, n + 1))
+        owners, members = np.nonzero(draws[:, :n] < self.params.q)
+        released = np.stack([self.public_model.distribution(x).probs for x in queries])
+        if owners.size:
+            rows = np.stack([self.ensemble[m].distribution(queries[i]).probs
+                             for i, m in zip(owners.tolist(), members.tolist())])
+            refs = released[owners]
+            lams = solve_lambdas(rows, refs, self.params.alpha, self.beta_star,
+                                 tol=self.lambda_tol)
+            projected = _mix_arrays(rows, refs, lams[:, np.newaxis])
+            answered, counts = np.unique(owners, return_counts=True)
+            # np.add.at adds rows one at a time in order, the order that
+            # respond's projected.mean(axis=0) sums them in
+            sums = np.zeros((b, released.shape[1]))
+            np.add.at(sums, owners, projected)
+            released[answered] = sums[answered] / counts[:, np.newaxis]
+        for _ in range(b):
+            self.ledger.charge()
+        return released
 
     def run_session(self, queries: Sequence[Sequence[int]]) -> list[QueryRecord]:
         """Answer queries in order; on budget exhaustion the raised error

@@ -1,0 +1,130 @@
+"""Block evaluation against the per-query oracle, and the block's own rules."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import sequential_evaluation
+from pmixed import (BudgetExhaustedError, Distribution, EpsMode, PartialEvaluationError,
+                    PredictionSession, PrivacyParams, StaticTableModel, Vocabulary,
+                    perplexity_of_protocol, symmetric_renyi, train_ngram)
+from pmixed.experiment import QUERY_BLOCK, _target_probabilities
+
+
+def random_model(draw, rng, vocab, kind):
+    """An n-gram model trained on random text, or a table with rows for a
+    few short contexts; tables may put zeros in their rows."""
+    size = vocab.size
+    if kind == "ngram":
+        order = draw(st.integers(1, 3))
+        text = [rng.integers(0, size, int(rng.integers(0, 30))).tolist() for _ in range(6)]
+        return train_ngram(text, order, draw(st.sampled_from([0.01, 0.1, 1.0])), vocab)
+
+    def row():
+        probs = rng.dirichlet(np.full(size, 0.5))
+        if rng.random() < 0.3:
+            probs[rng.integers(0, size)] = 0.0
+            probs /= probs.sum()
+        return Distribution(probs)
+
+    contexts = {(), *((int(t),) for t in rng.integers(0, size, 3))}
+    return StaticTableModel(vocab, {c: row() for c in contexts}, default=row())
+
+
+@st.composite
+def evaluations(draw):
+    """Members, a public model, test sequences, privacy parameters and a seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocab = Vocabulary(["<unk>"] + [f"t{i}" for i in range(draw(st.integers(1, 7)))])
+    public = random_model(draw, rng, vocab, draw(st.sampled_from(["ngram", "table"])))
+    kinds = st.sampled_from(["ngram", "table", "public"])  # "public": feasible at weight 1
+    members = [public if kind == "public" else random_model(draw, rng, vocab, kind)
+               for kind in draw(st.lists(kinds, min_size=1, max_size=5))]
+    lengths = draw(st.lists(st.integers(0, 2 * QUERY_BLOCK), min_size=1, max_size=4))
+    sequences = [rng.integers(0, vocab.size, n).tolist() for n in lengths]
+    positions = sum(lengths)
+    # budgets ending inside a block, on a block boundary, or past the end
+    T = draw(st.sampled_from([max(positions, 1), positions + 1, max(positions - 1, 1), QUERY_BLOCK,
+                              2 * QUERY_BLOCK, draw(st.integers(1, 3 * QUERY_BLOCK))]))
+    params = PrivacyParams(10.0 ** draw(st.floats(-3.0, 2.0)), 1e-5, T, 3,
+                           draw(st.sampled_from([0.05, 0.4, 1.0])), len(members))
+    return members, public, sequences, params, draw(st.integers(0, 2**31))
+
+
+def score(evaluate, instance):
+    """Run ``evaluate(session, sequences)`` on a fresh session; returns its
+    outcome, the ledger count and the generator state afterwards."""
+    members, public, sequences, params, seed = instance
+    session = PredictionSession(members, public, params, mode=EpsMode.PAPER_FAITHFUL, seed=seed)
+    try:
+        outcome = evaluate(session, sequences)
+    except PartialEvaluationError as err:
+        outcome = ("partial", err.positions_scored, err.nll_total)
+    except ValueError as err:
+        outcome = ("empty", str(err))
+    return outcome, session.ledger.queries_answered, session.rng.bit_generator.state
+
+
+@settings(max_examples=50, deadline=None)
+@given(evaluations())
+def test_block_path_matches_the_sequential_oracle(instance):
+    probs = []
+    expected = score(lambda s, seqs: sequential_evaluation.perplexity_of_protocol(s, seqs, probs),
+                     instance)
+    assert score(perplexity_of_protocol, instance) == expected
+    blocked = score(lambda s, seqs: list(_target_probabilities(s, seqs)), instance)
+    assert blocked[0] == probs
+    assert blocked[1:] == expected[1:]
+
+
+@pytest.fixture
+def vocab():
+    return Vocabulary(["<unk>", "a", "b", "c"])
+
+
+def session_over(vocab, members, T, q=1.0, seed=0):
+    public = StaticTableModel(vocab, {})
+    params = PrivacyParams(2.0, 1e-5, T, 3, q, len(members))
+    return PredictionSession(members, public, params, mode=EpsMode.PAPER_FAITHFUL, seed=seed)
+
+
+def test_block_past_the_budget_is_refused_before_any_draw(vocab):
+    session = session_over(vocab, [StaticTableModel(vocab, {})], T=3)
+    state = session.rng.bit_generator.state
+    with pytest.raises(BudgetExhaustedError):
+        session.answer_block([[1]] * 4)
+    assert session.ledger.queries_answered == 0
+    assert session.rng.bit_generator.state == state
+    assert session.answer_block([[1]] * 3).shape == (3, vocab.size)
+    assert session.ledger.queries_answered == 3
+
+
+def test_failed_rows_release_and_charge_nothing_in_their_block(vocab):
+    class FailsAfterTokenB(StaticTableModel):
+        def distribution(self, context):
+            if list(context[-1:]) == [2]:
+                raise RuntimeError("inference backend unavailable")
+            return super().distribution(context)
+
+    session = session_over(vocab, [FailsAfterTokenB(vocab, {})], T=8)
+    session.answer_block([[1], [3]])
+    with pytest.raises(RuntimeError, match="inference backend"):
+        session.answer_block([[1], [2], [3]])
+    assert session.ledger.queries_answered == 2
+
+
+def test_every_block_row_is_inside_the_ball(vocab):
+    rng = np.random.default_rng(5)
+    members = [StaticTableModel(vocab, {(t,): Distribution(rng.dirichlet(np.ones(4)))
+                                        for t in range(4)}) for _ in range(3)]
+    session = session_over(vocab, members, T=64, q=0.5)
+    queries = [[int(t)] for t in rng.integers(0, 4, 40)]
+    released = session.answer_block(queries)
+    assert np.allclose(released.sum(axis=1), 1.0)
+    public = session.public_model.distribution([])
+    alpha, beta = session.params.alpha, session.beta_star
+    for row in released:
+        # a mean of in-ball projections stays in the ball: the divergence is
+        # jointly quasi-convex
+        assert symmetric_renyi(Distribution(row), public, alpha) <= beta * alpha + 1e-12

@@ -171,6 +171,20 @@ class TestRunComparison:
         assert entry["mean"] == pytest.approx(float(np.mean(entry["per_run"])))
         assert entry["stddev"] == pytest.approx(float(np.std(entry["per_run"])))
 
+    def test_deterministic_arms_are_scored_once(self, tiny_corpus, monkeypatch):
+        import pmixed.experiment as experiment
+
+        calls = []
+        score = experiment.perplexity_of_model
+        monkeypatch.setattr(experiment, "perplexity_of_model",
+                            lambda model, seqs: calls.append(model) or score(model, seqs))
+        config = ExperimentConfig.from_file(tiny_corpus["config_path"]).replace(runs=3)
+        report = run_comparison(config)
+        assert len(calls) == 2  # public and ensemble, once each
+        for arm in ("public", "ensemble"):
+            per_run = report.arms[arm]["per_run"]
+            assert len(per_run) == 3 and len(set(per_run)) == 1
+
     def test_failed_arm_keeps_the_others(self, tiny_corpus):
         # 16 test positions but only 8 budgeted queries
         config = ExperimentConfig.from_file(tiny_corpus["config_path"]).replace(T=8)

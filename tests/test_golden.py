@@ -1,6 +1,6 @@
-"""Byte-exact golden outputs: a fixture comparison report and a predict trace.
+"""Byte-exact golden outputs: two fixture comparison reports and a predict trace.
 
-Both files under ``tests/golden/`` were produced by the CLI commands below
+The files under ``tests/golden/`` were produced by the CLI commands below
 and must be reproduced byte for byte; a change that alters either output
 has to say why and regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py``
@@ -20,6 +20,8 @@ FIXTURE = "data/twodomain"
 COMPARE_ARGS = [
     "compare", "--config", f"{FIXTURE}/config.json", "--runs", "1", "--max-seq-len", "8",
 ]
+# every test position, two seeds: the whole evaluation, several query blocks deep
+COMPARE_FULL_ARGS = ["compare", "--config", f"{FIXTURE}/config.json", "--runs", "2"]
 TRAIN_ARGS = [
     "train", "--private-corpus", f"{FIXTURE}/private.txt",
     "--public-corpus", f"{FIXTURE}/public.txt", "--vocab", f"{FIXTURE}/vocab.txt",
@@ -33,8 +35,8 @@ PREDICT_ARGS = [
 ]
 
 
-def write_compare_report(path: Path) -> None:
-    assert main([*COMPARE_ARGS, "--output", str(path)]) == 0
+def write_compare_report(path: Path, args=COMPARE_ARGS) -> None:
+    assert main([*args, "--output", str(path)]) == 0
 
 
 def write_predict_trace(path: Path, work_dir: Path) -> None:
@@ -56,6 +58,12 @@ def test_compare_report_matches_golden(at_repo_root, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "compare_report.jsonl").read_bytes()
 
 
+def test_full_compare_report_matches_golden(at_repo_root, tmp_path):
+    out = tmp_path / "compare_report_full.jsonl"
+    write_compare_report(out, COMPARE_FULL_ARGS)
+    assert out.read_bytes() == (GOLDEN_DIR / "compare_report_full.jsonl").read_bytes()
+
+
 def test_predict_trace_matches_golden(at_repo_root, tmp_path):
     out = tmp_path / "predict_trace.jsonl"
     write_predict_trace(out, tmp_path)
@@ -67,5 +75,6 @@ if __name__ == "__main__":
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     write_compare_report(GOLDEN_DIR / "compare_report.jsonl")
+    write_compare_report(GOLDEN_DIR / "compare_report_full.jsonl", COMPARE_FULL_ARGS)
     with tempfile.TemporaryDirectory() as scratch:
         write_predict_trace(GOLDEN_DIR / "predict_trace.jsonl", Path(scratch))

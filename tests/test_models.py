@@ -174,6 +174,27 @@ class TestEnsembleAverage:
         model = EnsembleAverageModel(members)
         assert np.allclose(model.distribution([1]).probs, [0.5, 0.5, 0.0, 0.0])
 
+    def test_one_mean_per_window(self, vocab):
+        members = [train_ngram([[1, 2, 3, 1], [2, 2, 1]], order, 0.1, vocab) for order in (1, 2, 3)]
+        model = EnsembleAverageModel(members)
+        assert model.context_width == 2
+        first = model.distribution([3, 1, 2])
+        assert model.distribution([2, 1, 2]) is first  # same last two tokens
+        assert model.distribution([1]) is not model.distribution([0, 1])  # short contexts keep their own key
+        for context in ([3, 1, 2], [1], [0, 1], []):
+            mean = np.mean([m.distribution(context).probs for m in members], axis=0)
+            assert np.array_equal(model.distribution(context).probs, mean)
+
+    def test_table_members_are_averaged_per_context(self, vocab):
+        rows = {(1, 2): Distribution([0.1, 0.2, 0.3, 0.4])}
+        members = [StaticTableModel(vocab, rows), train_ngram([[1, 2]], 2, 0.1, vocab)]
+        model = EnsembleAverageModel(members)
+        assert model.context_width is None
+        mean = (rows[(1, 2)].probs + members[1].distribution([2]).probs) / 2
+        assert np.allclose(model.distribution([1, 2]).probs, mean)
+        assert np.allclose(model.distribution([3, 2]).probs,
+                           (0.25 + members[1].distribution([2]).probs) / 2)
+
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
             EnsembleAverageModel([])
@@ -225,6 +246,28 @@ class TestSnapshot:
         assert session.ledger.queries_answered == 0
         with pytest.raises(ValueError, match="nonnegative"):
             NGramModel(2, 1.0, vocab, {(1,): {2: count}}).distribution([1])
+
+    @pytest.mark.parametrize("token", [-1, 4])
+    def test_out_of_range_token_is_refused_before_any_charge(self, vocab, tmp_path, token):
+        """-1 would credit the last token by index wraparound; 4 = |V| is past the end."""
+        public = train_ngram([[3, 1]], 2, 1.0, vocab)
+        member = train_ngram([[1, 2]], 2, 1.0, vocab)
+        path = tmp_path / "snapshot.jsonl"
+        save_snapshot(path, vocab, public, [member])
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        records[2]["counts"] = [[[1], [[token, 5]]]]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+        _, public2, members2 = load_snapshot(path)
+        params = PrivacyParams(8.0, 1e-5, 4, 3, 1.0, 1)  # q = 1: the member always answers
+        session = PredictionSession(members2, public2, params, mode=EpsMode.PAPER_FAITHFUL)
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            session.respond([1])
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            session.answer_block([[1], [1]])
+        assert session.ledger.queries_answered == 0
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            NGramModel(2, 0.1, vocab, {(1,): {token: 5}}).distribution([1])
 
     def test_rejects_model_before_vocab(self, tmp_path):
         path = tmp_path / "broken.jsonl"

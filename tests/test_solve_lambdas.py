@@ -107,6 +107,30 @@ def test_divergence_rows_match_one_row_calls(instance, data):
     assert np.all(np.isinf(batched[: len(rows)]) == bool(zeroed))
 
 
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_per_row_references_match_one_reference_calls(instance, seed):
+    rows, p0, alpha, beta = instance
+    rng = np.random.default_rng(seed)
+    refs = np.vstack([p0.probs, rng.dirichlet(np.ones(p0.vocab_size), size=len(rows))])[:len(rows)]
+    weights = solve_lambdas(rows, refs, alpha, beta, TOL)
+    for row, ref, lam in zip(rows, refs, weights):
+        assert solve_lambdas(row[np.newaxis, :], Distribution._already_normalized(ref),
+                             alpha, beta, TOL)[0] == lam
+    assert solve_lambdas(rows, np.tile(p0.probs, (len(rows), 1)), alpha, beta, TOL).tolist() \
+        == solve_lambdas(rows, p0, alpha, beta, TOL).tolist()
+
+
+def test_rejects_reference_stacks_unlike_the_rows():
+    rows = np.full((2, 4), 0.25)
+    with pytest.raises(ValueError, match="references"):
+        solve_lambdas(rows, np.full((3, 4), 0.25), 2, 0.1)
+    with pytest.raises(ValueError, match="references"):
+        solve_lambdas(rows, np.full((2, 2, 4), 0.25), 2, 0.1)
+    with pytest.raises(ValueError, match="references must be nonnegative and sum to 1"):
+        solve_lambdas(rows, np.array([[0.25] * 4, [0.5, 0.5, 0.5, 0.0]]), 2, 0.1)
+
+
 def test_rejects_misshapen_stacks():
     p0 = np.full(4, 0.25)
     with pytest.raises(ValueError):

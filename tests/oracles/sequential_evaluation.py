@@ -1,7 +1,7 @@
 """Reference evaluation: the per-query loop that scored test positions before
 they were answered in blocks.
 
-``perplexity_of_protocol`` here is the earlier driver, one
+``perplexity_of_protocol`` here is the earlier evaluation loop, one
 ``PredictionSession.respond`` call per position, unchanged except that it
 also appends every scored probability to ``probs``.  The property tests
 require the block path to match it bit for bit, so keep its arithmetic and

@@ -7,16 +7,12 @@ final composed guarantee converted to approximate DP.
 """
 
 from pmixed import (
+    Accountant,
     EpsMode,
     PrivacyParams,
-    accountant_record,
-    base_eps_for_order,
     beta_max,
-    compose,
     per_query_eps,
-    rdp_to_dp,
     solve_beta_star,
-    subsampled_eps,
 )
 
 params = PrivacyParams(eps_g=8.0, delta=1e-5, T=1024, alpha=3, q=0.03, N=80)
@@ -39,18 +35,14 @@ for size in (0, 1, 2, 5, 20, 80):
 print("the worst case sits at |S| = 2, which is what conservative mode uses")
 print()
 
-star = solve_beta_star(params, EpsMode.CONSERVATIVE)
-amplified = subsampled_eps(
-    params.q, params.alpha,
-    lambda k: base_eps_for_order(star, k, params.N, EpsMode.CONSERVATIVE),
-)
-print(f"amplified per-query loss at the solved radius: {amplified:.9f}")
-print(f"composed over T = {params.T} queries: {compose(amplified, params.T):.6f}"
+accountant = Accountant(params, EpsMode.CONSERVATIVE)
+print(f"amplified per-query loss at the solved radius: {accountant.per_query_eps:.9f}")
+print(f"composed over T = {params.T} queries: {accountant.composed_eps:.6f}"
       f" <= {params.eps_g}")
 print(f"converted to approximate DP at delta = {params.delta}:"
-      f" eps = {rdp_to_dp(params.alpha, compose(amplified, params.T), params.delta):.4f}")
+      f" eps = {accountant.dp_eps:.4f}")
 print()
 
 print("full record, as emitted into reports:")
-for key, value in accountant_record(params).items():
+for key, value in accountant.record().items():
     print(f"  {key}: {value}")

@@ -7,16 +7,15 @@ exceeded.
 """
 
 from .accounting import (
+    Accountant,
     AccountantLedger,
     BudgetExhaustedError,
     EpsMode,
     PrivacyParams,
-    accountant_record,
     base_eps_for_order,
     beta_infinite_order,
     beta_infinite_order_lower,
     beta_max,
-    compose,
     per_query_eps,
     rdp_to_dp,
     solve_beta_star,
@@ -33,7 +32,6 @@ from .experiment import (
     run_comparison,
     run_sweep,
     serialize_trace,
-    session_accountant_record,
 )
 from .models import (
     EnsembleAverageModel,
@@ -45,7 +43,6 @@ from .models import (
     load_corpus,
     load_snapshot,
     partition_corpus,
-    predict,
     save_snapshot,
     train_ngram,
 )
@@ -55,6 +52,7 @@ from .protocol import PredictionSession, QueryRecord, aggregate, poisson_subsamp
 __version__ = "0.1.0"
 
 __all__ = [
+    "Accountant",
     "AccountantLedger",
     "BudgetExhaustedError",
     "ConfigError",
@@ -73,14 +71,12 @@ __all__ = [
     "QueryRecord",
     "StaticTableModel",
     "Vocabulary",
-    "accountant_record",
     "aggregate",
     "base_eps_for_order",
     "beta_infinite_order",
     "beta_infinite_order_lower",
     "beta_max",
     "build_public_model",
-    "compose",
     "load_corpus",
     "load_snapshot",
     "mix",
@@ -90,7 +86,6 @@ __all__ = [
     "perplexity_of_model",
     "perplexity_of_protocol",
     "poisson_subsample",
-    "predict",
     "rdp_to_dp",
     "renyi_divergence",
     "run_comparison",
@@ -98,7 +93,6 @@ __all__ = [
     "sample_token",
     "save_snapshot",
     "serialize_trace",
-    "session_accountant_record",
     "solve_beta_star",
     "solve_lambda",
     "solve_lambdas",

@@ -6,9 +6,11 @@ The accounting pipeline, in the order a session uses it:
    per-query loss fits the per-query budget ``eps_g / T``.
 2. ``subsampled_eps`` evaluates the Poisson-subsampling amplification of the
    per-query loss at that radius; this value is charged per answered query.
-3. ``compose`` adds up the per-query charges over the ``T`` interaction
-   rounds, and ``rdp_to_dp`` converts the composed Renyi guarantee into an
-   approximate-DP statement for reporting.
+3. ``Accountant`` runs steps 1 and 2 once for a parameter set and a mode,
+   composes the per-query charge over the ``T`` interaction rounds
+   (``T * per_query_eps``), and converts the composed Renyi guarantee into
+   an approximate-DP statement with ``rdp_to_dp``.  Sessions, reports and
+   the CLI all read their accounting from one ``Accountant``.
 
 All losses are in nats.  Orders are restricted to integers >= 2 because the
 amplification bound is only stated for those; non-integer orders are
@@ -57,6 +59,25 @@ def check_integer_order(alpha) -> int:
     return a
 
 
+def check_positive_int(value, name: str) -> int:
+    """Validate a count such as N or T: an integer (or integral float) >= 1."""
+    if int(value) != value or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def check_budget(eps_g) -> None:
+    """Validate a global privacy budget: a positive number of nats."""
+    if not eps_g > 0.0:
+        raise ValueError(f"eps_g must be positive, got {eps_g!r}")
+
+
+def check_probability(value, name: str, *, allow_one: bool) -> None:
+    """Validate a probability in (0, 1], or in (0, 1) when ``allow_one`` is false."""
+    if not (0.0 < value <= 1.0 if allow_one else 0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1{']' if allow_one else ')'}, got {value!r}")
+
+
 def _check_radius(beta) -> float:
     b = float(beta)
     if math.isnan(b) or b < 0.0:
@@ -93,19 +114,12 @@ class PrivacyParams:
     N: int
 
     def __post_init__(self):
-        if not self.eps_g > 0.0:
-            raise ValueError(f"eps_g must be positive, got {self.eps_g!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if int(self.T) != self.T or self.T < 1:
-            raise ValueError(f"T must be a positive integer, got {self.T!r}")
-        object.__setattr__(self, "T", int(self.T))
+        check_budget(self.eps_g)
+        check_probability(self.delta, "delta", allow_one=False)
+        object.__setattr__(self, "T", check_positive_int(self.T, "T"))
         object.__setattr__(self, "alpha", check_integer_order(self.alpha))
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must lie in (0, 1], got {self.q!r}")
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
-        object.__setattr__(self, "N", int(self.N))
+        check_probability(self.q, "q", allow_one=True)
+        object.__setattr__(self, "N", check_positive_int(self.N, "N"))
 
 
 def beta_max(N: int, eps_g: float, T: int, alpha: int) -> float:
@@ -117,12 +131,9 @@ def beta_max(N: int, eps_g: float, T: int, alpha: int) -> float:
     least 1, so the result is nonnegative.
     """
     a = check_integer_order(alpha)
-    if int(N) != N or N < 1:
-        raise ValueError(f"ensemble size must be a positive integer, got {N!r}")
-    if not eps_g > 0.0:
-        raise ValueError(f"eps_g must be positive, got {eps_g!r}")
-    if int(T) != T or T < 1:
-        raise ValueError(f"T must be a positive integer, got {T!r}")
+    check_positive_int(N, "ensemble size")
+    check_budget(eps_g)
+    check_positive_int(T, "T")
     if N == 1:
         return eps_g / (T * a)
     return _log1p_scaled_expm1(float(N), (a - 1) * eps_g / T) / (4.0 * (a - 1) * a)
@@ -158,8 +169,7 @@ def base_eps_for_order(beta: float, k: int, N: int, mode: EpsMode) -> float:
     over every size the subsample could realize.
     """
     k = check_integer_order(k)
-    if int(N) != N or N < 1:
-        raise ValueError(f"ensemble size must be a positive integer, got {N!r}")
+    check_positive_int(N, "ensemble size")
     if mode is EpsMode.PAPER_FAITHFUL:
         return per_query_eps(beta, k, N)
     if mode is EpsMode.CONSERVATIVE:
@@ -181,8 +191,7 @@ def subsampled_eps(q: float, alpha: int, eps_fn) -> float:
     survives and the bound reduces to ``eps_fn(alpha)`` exactly.
     """
     a = check_integer_order(alpha)
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must lie in (0, 1], got {q!r}")
+    check_probability(q, "q", allow_one=True)
 
     def base(k: int) -> float:
         val = float(eps_fn(k))
@@ -255,23 +264,24 @@ def solve_beta_star(
     return lo
 
 
-def compose(per_query: float, T: int) -> float:
-    """Total loss of ``T`` sequential rounds each costing ``per_query``."""
-    if per_query < 0.0:
-        raise ValueError(f"per-query loss must be nonnegative, got {per_query!r}")
-    if int(T) != T or T < 1:
-        raise ValueError(f"T must be a positive integer, got {T!r}")
-    return T * per_query
-
-
 def rdp_to_dp(alpha: int, eps: float, delta: float) -> float:
     """Approximate-DP epsilon implied by an (alpha, eps) Renyi guarantee."""
     a = check_integer_order(alpha)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    check_probability(delta, "delta", allow_one=False)
     if eps < 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
     return eps + math.log((a - 1) / a) - (math.log(delta) + math.log(a)) / (a - 1)
+
+
+def _check_max_order_args(N, eps_g, T, alpha) -> float:
+    """Validate the max-divergence radius arguments; returns the order as a float."""
+    check_positive_int(N, "ensemble size")
+    a = float(alpha)
+    if not a > 1.0:
+        raise ValueError(f"order must be > 1, got {alpha!r}")
+    check_budget(eps_g)
+    check_positive_int(T, "T")
+    return a
 
 
 def beta_infinite_order(N: int, eps_g: float, T: int, alpha: float) -> float:
@@ -280,15 +290,7 @@ def beta_infinite_order(N: int, eps_g: float, T: int, alpha: float) -> float:
     Diagnostic companion to :func:`beta_max`: the max-divergence argument
     yields ``log(N * e**(eps_g / T) + 1 - N) / (2 * alpha)``.
     """
-    if int(N) != N or N < 1:
-        raise ValueError(f"ensemble size must be a positive integer, got {N!r}")
-    a = float(alpha)
-    if not a > 1.0:
-        raise ValueError(f"order must be > 1, got {alpha!r}")
-    if not eps_g > 0.0:
-        raise ValueError(f"eps_g must be positive, got {eps_g!r}")
-    if int(T) != T or T < 1:
-        raise ValueError(f"T must be a positive integer, got {T!r}")
+    a = _check_max_order_args(N, eps_g, T, alpha)
     return _log1p_scaled_expm1(float(N), eps_g / T) / (2.0 * a)
 
 
@@ -299,11 +301,7 @@ def beta_infinite_order_lower(N: int, eps_g: float, T: int, alpha: float):
     argument is positive and ``None`` otherwise (the bound is then vacuous).
     The upper bound of :func:`beta_infinite_order` always dominates it.
     """
-    if int(N) != N or N < 1:
-        raise ValueError(f"ensemble size must be a positive integer, got {N!r}")
-    a = float(alpha)
-    if not a > 1.0:
-        raise ValueError(f"order must be > 1, got {alpha!r}")
+    a = _check_max_order_args(N, eps_g, T, alpha)
     arg = N - (N - 1) * math.exp(eps_g / T) if eps_g / T <= _EXP_ARG_LIMIT else -math.inf
     if arg <= 0.0:
         return None
@@ -352,27 +350,48 @@ class AccountantLedger:
         return self
 
 
-def accountant_record(
-    params: PrivacyParams,
-    mode: EpsMode = EpsMode.CONSERVATIVE,
-    tol: float = 1e-9,
-) -> dict:
-    """Full accounting summary for one parameter set, ready for reporting."""
-    beta_star = solve_beta_star(params, mode, tol)
-    per_query = subsampled_eps(
-        params.q, params.alpha, lambda k: base_eps_for_order(beta_star, k, params.N, mode)
-    )
-    composed = compose(per_query, params.T)
-    return {
-        "eps_g": params.eps_g,
-        "delta": params.delta,
-        "T": params.T,
-        "alpha": params.alpha,
-        "q": params.q,
-        "N": params.N,
-        "mode": mode.value,
-        "beta_star": beta_star,
-        "per_query_eps": per_query,
-        "composed_eps": composed,
-        "dp_eps": rdp_to_dp(params.alpha, composed, params.delta),
-    }
+@dataclass(frozen=True)
+class Accountant:
+    """The whole accounting chain of one parameter set, computed once.
+
+    ``beta_star`` is the mollifier radius from :func:`solve_beta_star`,
+    ``per_query_eps`` the amplified loss charged per answered query at that
+    radius, ``composed_eps`` its ``T``-fold composition and ``dp_eps`` the
+    approximate-DP epsilon of the composed guarantee at ``params.delta``.
+    """
+
+    params: PrivacyParams
+    mode: EpsMode = EpsMode.CONSERVATIVE
+    beta_star: float = field(init=False)
+    per_query_eps: float = field(init=False)
+    composed_eps: float = field(init=False)
+    dp_eps: float = field(init=False)
+
+    def __post_init__(self):
+        p, mode = self.params, self.mode
+        beta_star = solve_beta_star(p, mode)
+        per_query = subsampled_eps(
+            p.q, p.alpha, lambda k: base_eps_for_order(beta_star, k, p.N, mode)
+        )
+        composed = p.T * per_query
+        object.__setattr__(self, "beta_star", beta_star)
+        object.__setattr__(self, "per_query_eps", per_query)
+        object.__setattr__(self, "composed_eps", composed)
+        object.__setattr__(self, "dp_eps", rdp_to_dp(p.alpha, composed, p.delta))
+
+    def record(self) -> dict:
+        """The accounting summary written into reports, traces and ``pmixed account``."""
+        p = self.params
+        return {
+            "eps_g": p.eps_g,
+            "delta": p.delta,
+            "T": p.T,
+            "alpha": p.alpha,
+            "q": p.q,
+            "N": p.N,
+            "mode": self.mode.value,
+            "beta_star": self.beta_star,
+            "per_query_eps": self.per_query_eps,
+            "composed_eps": self.composed_eps,
+            "dp_eps": self.dp_eps,
+        }

@@ -17,25 +17,19 @@ import argparse
 import json
 import sys
 
-from .accounting import BudgetExhaustedError, EpsMode, PrivacyParams, accountant_record
+from .accounting import Accountant, BudgetExhaustedError, EpsMode, PrivacyParams
 from .experiment import (
     SWEEP_AXES,
     ConfigError,
     ExperimentConfig,
+    _load_inputs,
     _record_line,
+    _train_arms,
     run_comparison,
     run_sweep,
     serialize_trace,
 )
-from .models import (
-    Vocabulary,
-    build_public_model,
-    load_corpus,
-    load_snapshot,
-    partition_corpus,
-    save_snapshot,
-    train_ngram,
-)
+from .models import load_snapshot, save_snapshot
 from .protocol import PredictionSession
 
 _CONFIG_OVERRIDES = (
@@ -56,16 +50,15 @@ _CONFIG_OVERRIDES = (
 )
 
 
-def _add_privacy_flags(sub, with_defaults: bool) -> None:
-    get = (lambda v: v) if with_defaults else (lambda v: None)
-    sub.add_argument("--eps-g", type=float, default=get(8.0), dest="eps_g",
+def _add_privacy_flags(sub) -> None:
+    sub.add_argument("--eps-g", type=float, default=8.0, dest="eps_g",
                      help="global privacy budget in nats")
-    sub.add_argument("--delta", type=float, default=get(1e-5),
+    sub.add_argument("--delta", type=float, default=1e-5,
                      help="failure probability for the DP conversion")
-    sub.add_argument("--queries", type=int, default=get(1024), dest="T",
+    sub.add_argument("--queries", type=int, default=1024, dest="T",
                      help="query budget T")
-    sub.add_argument("--alpha", type=int, default=get(3), help="Renyi order (integer >= 2)")
-    sub.add_argument("--q", type=float, default=get(0.03), help="Poisson subsample probability")
+    sub.add_argument("--alpha", type=int, default=3, help="Renyi order (integer >= 2)")
+    sub.add_argument("--q", type=float, default=0.03, help="Poisson subsample probability")
 
 
 def _add_mode_flag(sub) -> None:
@@ -99,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--input", default=None, help="file of contexts, one per line")
     predict.add_argument("--steps", type=int, default=1,
                          help="tokens to generate per context (each costs one query)")
-    _add_privacy_flags(predict, with_defaults=True)
+    _add_privacy_flags(predict)
     _add_mode_flag(predict)
     predict.add_argument("--seed", type=int, default=0)
     predict.add_argument("--trace", default=None, help="write the session trace here")
@@ -118,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=_cmd_sweep)
 
     account = commands.add_parser("account", help="print the accounting record")
-    _add_privacy_flags(account, with_defaults=True)
+    _add_privacy_flags(account)
     account.add_argument("--n-models", type=int, default=80, dest="n_models")
     _add_mode_flag(account)
     account.add_argument("--output", default=None)
@@ -153,17 +146,10 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _cmd_train(args, out) -> int:
-    private_docs = load_corpus(args.private_corpus)
-    public_docs = load_corpus(args.public_corpus)
-    if args.vocab is not None:
-        vocab = Vocabulary.from_file(args.vocab)
-    else:
-        vocab = Vocabulary.from_corpus(private_docs + public_docs)
-    encode = lambda docs: [vocab.encode(doc) for doc in docs]
-    partitions = partition_corpus(encode(private_docs), args.n_models, args.seed)
-    members = [train_ngram(part, args.order, args.smoothing_k, vocab)
-               for part in partitions]
-    public = build_public_model(encode(public_docs), args.order, args.smoothing_k, vocab)
+    vocab, private_seqs, public_seqs = _load_inputs(
+        args.private_corpus, args.public_corpus, args.vocab)
+    members, public = _train_arms(vocab, private_seqs, public_seqs, args.n_models,
+                                  args.order, args.smoothing_k, args.seed)
     save_snapshot(args.output, vocab, public, members)
     print(f"wrote snapshot with {len(members)} members to {args.output}", file=out)
     return 0
@@ -237,7 +223,7 @@ def _cmd_account(args, out) -> int:
     params = PrivacyParams(eps_g=args.eps_g, delta=args.delta, T=args.T,
                            alpha=args.alpha, q=args.q, N=args.n_models)
     mode = EpsMode(args.mode) if args.mode else EpsMode.CONSERVATIVE
-    line = _record_line({"record": "accountant", **accountant_record(params, mode)})
+    line = _record_line({"record": "accountant", **Accountant(params, mode).record()})
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(line)

@@ -28,13 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .accounting import (
-    EpsMode,
-    PrivacyParams,
-    accountant_record,
-    compose,
-    rdp_to_dp,
-)
+from .accounting import Accountant, EpsMode, PrivacyParams
 from .models import (
     EnsembleAverageModel,
     LanguageModel,
@@ -249,8 +243,12 @@ class ExperimentReport:
             entry["per_run"] = []
         else:
             entry["per_run"] = list(per_run)
-            entry["mean"] = float(np.mean(per_run))
-            entry["stddev"] = float(np.std(per_run))
+            if len(set(per_run)) == 1:
+                # a deterministic arm; np.std of equal values need not be exactly 0
+                entry["mean"], entry["stddev"] = float(per_run[0]), 0.0
+            else:
+                entry["mean"] = float(np.mean(per_run))
+                entry["stddev"] = float(np.std(per_run))
         if queries is not None:
             entry["queries"] = list(queries)
         self.arms[name] = entry
@@ -307,27 +305,6 @@ class ExperimentReport:
             fh.write(self.sweep_table())
 
 
-def session_accountant_record(session: PredictionSession) -> dict:
-    """Accounting summary of one live session, including the realized spend."""
-    params = session.params
-    composed = compose(session.ledger.per_query_eps, params.T)
-    return {
-        "eps_g": params.eps_g,
-        "delta": params.delta,
-        "T": params.T,
-        "alpha": params.alpha,
-        "q": params.q,
-        "N": params.N,
-        "mode": session.mode.value,
-        "beta_star": session.beta_star,
-        "per_query_eps": session.ledger.per_query_eps,
-        "composed_eps": composed,
-        "dp_eps": rdp_to_dp(params.alpha, composed, params.delta),
-        "queries_answered": session.ledger.queries_answered,
-        "spent_eps": session.ledger.spent,
-    }
-
-
 def serialize_trace(records: Sequence[QueryRecord], path,
                     session: PredictionSession | None = None) -> None:
     """Write a session trace (subset membership and mixing weights) as JSON
@@ -335,7 +312,9 @@ def serialize_trace(records: Sequence[QueryRecord], path,
     with open(path, "w", encoding="utf-8") as fh:
         if session is not None:
             fh.write(_record_line({"record": "accountant",
-                                   **session_accountant_record(session)}))
+                                   **session.accountant.record(),
+                                   "queries_answered": session.ledger.queries_answered,
+                                   "spent_eps": session.ledger.spent}))
         for t, record in enumerate(records):
             fh.write(_record_line({
                 "record": "query",
@@ -348,27 +327,25 @@ def serialize_trace(records: Sequence[QueryRecord], path,
             }))
 
 
-def _load_inputs(config: ExperimentConfig):
-    private_docs = load_corpus(config.private_corpus_path)
-    public_docs = load_corpus(config.public_corpus_path)
-    test_docs = load_corpus(config.test_corpus_path)
-    if config.max_seq_len is not None:
-        test_docs = [doc[: config.max_seq_len] for doc in test_docs]
-    if config.vocab_path is not None:
-        vocab = Vocabulary.from_file(config.vocab_path)
+def _load_inputs(private_path, public_path, vocab_path=None):
+    """The vocabulary and the encoded private and public corpora; the
+    vocabulary is read from ``vocab_path``, or derived from both corpora."""
+    private_docs = load_corpus(private_path)
+    public_docs = load_corpus(public_path)
+    if vocab_path is not None:
+        vocab = Vocabulary.from_file(vocab_path)
     else:
         vocab = Vocabulary.from_corpus(private_docs + public_docs)
     encode = lambda docs: [vocab.encode(doc) for doc in docs]
-    return vocab, encode(private_docs), encode(public_docs), encode(test_docs)
+    return vocab, encode(private_docs), encode(public_docs)
 
 
-def _train_arms(config: ExperimentConfig, vocab, private_seqs, public_seqs):
-    partitions = partition_corpus(private_seqs, config.n_models, config.seed)
-    members = [
-        train_ngram(part, config.order, config.smoothing_k, vocab)
-        for part in partitions
-    ]
-    public_model = build_public_model(public_seqs, config.order, config.smoothing_k, vocab)
+def _train_arms(vocab, private_seqs, public_seqs, n_models, order, smoothing_k, seed):
+    """The ``n_models`` members, one per seeded partition of the private
+    corpus, and the public model."""
+    partitions = partition_corpus(private_seqs, n_models, seed)
+    members = [train_ngram(part, order, smoothing_k, vocab) for part in partitions]
+    public_model = build_public_model(public_seqs, order, smoothing_k, vocab)
     return members, public_model
 
 
@@ -379,12 +356,16 @@ def run_comparison(config: ExperimentConfig) -> ExperimentReport:
     still evaluated and reported.
     """
     config.validate()
-    vocab, private_seqs, public_seqs, test_seqs = _load_inputs(config)
-    members, public_model = _train_arms(config, vocab, private_seqs, public_seqs)
+    vocab, private_seqs, public_seqs = _load_inputs(
+        config.private_corpus_path, config.public_corpus_path, config.vocab_path)
+    test_seqs = [vocab.encode(doc[:config.max_seq_len])
+                 for doc in load_corpus(config.test_corpus_path)]
+    members, public_model = _train_arms(vocab, private_seqs, public_seqs, config.n_models,
+                                        config.order, config.smoothing_k, config.seed)
     params = config.params()
     seeds = [config.seed + r for r in range(config.runs)]
     report = ExperimentReport(config=config.to_dict(), seed_schedule=seeds)
-    report.accountant = accountant_record(params, config.mode)
+    report.accountant = Accountant(params, config.mode).record()
 
     def run_arm(name, evaluate, seeded=True):
         # an unseeded arm is deterministic: score it once, report it per run
@@ -428,9 +409,12 @@ def run_sweep(config: ExperimentConfig, axis: str, values: Sequence) -> Experime
     seeds = [config.seed + r for r in range(config.runs)]
     report = ExperimentReport(config=config.to_dict(), seed_schedule=seeds,
                               sweep_axis=axis)
-    caster = type(getattr(config, field_name))
-    for value in values:
-        value = caster(value)
+    caster = type(getattr(ExperimentConfig, field_name))
+    if caster is int:
+        fractional = [v for v in values if not float(v).is_integer()]
+        if fractional:
+            raise ConfigError(f"sweep axis {axis!r} takes integer values, got {fractional}")
+    for value in map(caster, values):
         point_config = config.replace(**{field_name: value, "output_path": None})
         try:
             point = run_comparison(point_config)

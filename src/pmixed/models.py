@@ -99,11 +99,6 @@ class LanguageModel(ABC):
         """Next-token distribution given a context of token ids."""
 
 
-def predict(model: LanguageModel, context: Sequence[int]) -> Distribution:
-    """Next-token distribution of ``model`` for ``context``."""
-    return model.distribution(context)
-
-
 class NGramModel(LanguageModel):
     """Add-k smoothed n-gram model.
 

@@ -23,16 +23,16 @@ from typing import Sequence
 import numpy as np
 
 from .accounting import (
+    Accountant,
     AccountantLedger,
     BudgetExhaustedError,
     EpsMode,
     PrivacyParams,
-    base_eps_for_order,
-    solve_beta_star,
-    subsampled_eps,
+    check_positive_int,
+    check_probability,
 )
 from .divergence import Distribution
-from .mollifier import DEFAULT_LAMBDA_TOL, _mix_arrays, solve_lambdas
+from .mollifier import _mix_arrays, solve_lambdas
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,9 @@ class QueryRecord:
 
 def poisson_subsample(n_models: int, q: float, rng: np.random.Generator) -> np.ndarray:
     """Indices of models selected independently with probability ``q`` each."""
-    if int(n_models) != n_models or n_models < 1:
-        raise ValueError(f"ensemble size must be a positive integer, got {n_models!r}")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must lie in (0, 1], got {q!r}")
-    return np.flatnonzero(rng.random(int(n_models)) < q)
+    n = check_positive_int(n_models, "ensemble size")
+    check_probability(q, "q", allow_one=True)
+    return np.flatnonzero(rng.random(n) < q)
 
 
 def aggregate(projected: Sequence[Distribution]) -> Distribution:
@@ -77,10 +75,11 @@ def sample_token(dist: Distribution, rng: np.random.Generator) -> int:
 class PredictionSession:
     """One budgeted interaction of at most ``params.T`` answered queries.
 
-    The mollifier radius is fixed once at construction (it depends only on
-    the parameters, not on any query), and every answered query is charged
-    the precomputed amplified per-query loss.  A session owns its ledger
-    and its generator; run concurrent sessions on separate instances.
+    The session's :class:`Accountant` fixes the mollifier radius once at
+    construction (it depends only on the parameters, not on any query), and
+    every answered query is charged its precomputed amplified per-query
+    loss.  A session owns its ledger and its generator; run concurrent
+    sessions on separate instances.
     """
 
     def __init__(
@@ -90,8 +89,6 @@ class PredictionSession:
         params: PrivacyParams,
         mode: EpsMode = EpsMode.CONSERVATIVE,
         seed: int = 0,
-        solver_tol: float = 1e-9,
-        lambda_tol: float = DEFAULT_LAMBDA_TOL,
     ):
         if len(ensemble) != params.N:
             raise ValueError(
@@ -99,16 +96,10 @@ class PredictionSession:
             )
         self.ensemble = list(ensemble)
         self.public_model = public_model
-        self.params = params
-        self.mode = mode
-        self.lambda_tol = lambda_tol
-        self.beta_star = solve_beta_star(params, mode, solver_tol)
-        per_query = subsampled_eps(
-            params.q,
-            params.alpha,
-            lambda k: base_eps_for_order(self.beta_star, k, params.N, mode),
-        )
-        self.ledger = AccountantLedger(params, per_query)
+        self.accountant = Accountant(params, mode)
+        self.params, self.mode = params, mode
+        self.beta_star = self.accountant.beta_star
+        self.ledger = AccountantLedger(params, self.accountant.per_query_eps)
         self.rng_seed = int(seed)
         self.rng = np.random.default_rng(self.rng_seed)
 
@@ -130,8 +121,7 @@ class PredictionSession:
         else:
             members = np.stack([self.ensemble[i].distribution(query).probs
                                 for i in subset.tolist()])
-            lams = solve_lambdas(members, public_dist, self.params.alpha,
-                                 self.beta_star, tol=self.lambda_tol)
+            lams = solve_lambdas(members, public_dist, self.params.alpha, self.beta_star)
             projected = _mix_arrays(members, public_dist.probs, lams[:, np.newaxis])
             released = Distribution._already_normalized(projected.mean(axis=0))
             weights = dict(zip(subset.tolist(), lams.tolist()))
@@ -174,8 +164,7 @@ class PredictionSession:
             rows = np.stack([self.ensemble[m].distribution(queries[i]).probs
                              for i, m in zip(owners.tolist(), members.tolist())])
             refs = released[owners]
-            lams = solve_lambdas(rows, refs, self.params.alpha, self.beta_star,
-                                 tol=self.lambda_tol)
+            lams = solve_lambdas(rows, refs, self.params.alpha, self.beta_star)
             projected = _mix_arrays(rows, refs, lams[:, np.newaxis])
             answered, counts = np.unique(owners, return_counts=True)
             # np.add.at adds rows one at a time in order, the order that

@@ -7,17 +7,17 @@ import math
 
 import pytest
 
+import pmixed.accounting as accounting
 from pmixed import (
+    Accountant,
     AccountantLedger,
     BudgetExhaustedError,
     EpsMode,
     PrivacyParams,
-    accountant_record,
     base_eps_for_order,
     beta_infinite_order,
     beta_infinite_order_lower,
     beta_max,
-    compose,
     per_query_eps,
     rdp_to_dp,
     solve_beta_star,
@@ -185,14 +185,22 @@ class TestSolveBetaStar:
 
 
 class TestComposeAndConvert:
-    def test_uniform_allocation_recovers_budget(self):
-        assert compose(8.0 / 1024, 1024) == pytest.approx(8.0, rel=1e-12)
+    @staticmethod
+    def composed(monkeypatch, per_query: float, T: int) -> float:
+        """``Accountant.composed_eps`` with the solved per-query charge replaced
+        by ``per_query``, so that the composition is checked on exact inputs."""
+        monkeypatch.setattr(accounting, "solve_beta_star", lambda params, mode: 0.0)
+        monkeypatch.setattr(accounting, "subsampled_eps", lambda q, alpha, eps_fn: per_query)
+        return Accountant(PrivacyParams(**{**TABLE_PARAMS, "T": T})).composed_eps
 
-    def test_single_round(self):
-        assert compose(0.37, 1) == 0.37
+    def test_uniform_allocation_recovers_budget(self, monkeypatch):
+        assert self.composed(monkeypatch, 8.0 / 1024, 1024) == pytest.approx(8.0, rel=1e-12)
 
-    def test_exact_arithmetic_example(self):
-        assert compose(0.0078125, 1024) == 8.0
+    def test_single_round(self, monkeypatch):
+        assert self.composed(monkeypatch, 0.37, 1) == 0.37
+
+    def test_exact_arithmetic_example(self, monkeypatch):
+        assert self.composed(monkeypatch, 0.0078125, 1024) == 8.0
 
     def test_conversion_reference_values(self):
         assert rdp_to_dp(3, 8.0, 1e-5) == pytest.approx(12.80169148, rel=1e-9)
@@ -233,6 +241,12 @@ class TestMaxOrderRadius:
 
     def test_lower_bound_vacuous_for_big_budget(self):
         assert beta_infinite_order_lower(80, 8.0, 2, 3) is None
+
+    def test_lower_bound_rejects_bad_budget_and_query_count(self):
+        with pytest.raises(ValueError, match="eps_g must be positive"):
+            beta_infinite_order_lower(80, -1.0, 1024, 3)
+        with pytest.raises(ValueError, match="T must be a positive integer"):
+            beta_infinite_order_lower(80, 8.0, 0, 3)
 
 
 class TestPrivacyParams:
@@ -289,7 +303,7 @@ class TestLedger:
 
 class TestAccountantRecord:
     def test_contains_the_full_summary(self):
-        record = accountant_record(PrivacyParams(**TABLE_PARAMS))
+        record = Accountant(PrivacyParams(**TABLE_PARAMS)).record()
         assert record["mode"] == "conservative"
         assert record["beta_star"] > beta_max(80, 8.0, 1024, 3)
         assert record["composed_eps"] <= 8.0 + 1e-9
@@ -299,3 +313,17 @@ class TestAccountantRecord:
         assert record["dp_eps"] == pytest.approx(
             rdp_to_dp(3, record["composed_eps"], 1e-5), rel=1e-12
         )
+
+    def test_each_step_of_the_chain_in_order(self):
+        params = PrivacyParams(**TABLE_PARAMS)
+        for mode in EpsMode:
+            accountant = Accountant(params, mode)
+            beta_star = solve_beta_star(params, mode)
+            per_query = subsampled_eps(
+                params.q, params.alpha, lambda k: base_eps_for_order(beta_star, k, params.N, mode)
+            )
+            assert accountant.beta_star == beta_star
+            assert accountant.per_query_eps == per_query
+            assert accountant.composed_eps == params.T * per_query
+            assert accountant.dp_eps == rdp_to_dp(params.alpha, params.T * per_query, params.delta)
+            assert accountant.record()["mode"] == mode.value

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pmixed import EpsMode, PrivacyParams, accountant_record
+from pmixed import Accountant, EpsMode, PrivacyParams
 from pmixed.cli import main
 
 
@@ -17,9 +17,9 @@ class TestAccount:
         ])
         assert code == 0
         line = json.loads(capsys.readouterr().out)
-        expected = accountant_record(
+        expected = Accountant(
             PrivacyParams(8.0, 1e-5, 1024, 3, 0.03, 80), EpsMode.CONSERVATIVE
-        )
+        ).record()
         assert line["record"] == "accountant"
         assert line["beta_star"] == pytest.approx(expected["beta_star"], rel=1e-8)
         assert line["composed_eps"] == pytest.approx(8.0, abs=1e-6)
@@ -151,6 +151,16 @@ class TestCompareAndSweep:
         table = (tmp_path / "sweep.jsonl.tsv").read_text().splitlines()
         assert table[0].startswith("axis\tvalue\tarm")
         assert len(table) == 7  # header + 2 values x 3 arms
+
+    def test_sweep_rejects_fractional_value_on_integer_axis(self, tiny_corpus, tmp_path,
+                                                            capsys):
+        out = tmp_path / "sweep.jsonl"
+        code = main(["sweep", "--config", str(tiny_corpus["config_path"]),
+                     "--runs", "1", "--axis", "T", "--values", "16,2.5",
+                     "--output", str(out)])
+        assert code == 2
+        assert "integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_rejects_bad_axis(self, tiny_corpus):
         assert main(["sweep", "--config", str(tiny_corpus["config_path"]),

@@ -184,6 +184,8 @@ class TestRunComparison:
         for arm in ("public", "ensemble"):
             per_run = report.arms[arm]["per_run"]
             assert len(per_run) == 3 and len(set(per_run)) == 1
+            assert report.arms[arm]["stddev"] == 0.0
+            assert report.arms[arm]["mean"] == per_run[0]
 
     def test_failed_arm_keeps_the_others(self, tiny_corpus):
         # 16 test positions but only 8 budgeted queries
@@ -222,6 +224,18 @@ class TestRunSweep:
         config = ExperimentConfig.from_file(tiny_corpus["config_path"]).replace(runs=1)
         report = run_sweep(config, "T", [32.0])
         assert all(row["value"] == 32 for row in report.sweep_rows)
+
+    def test_fractional_value_on_integer_axis_is_refused_before_any_point(
+            self, tiny_corpus, monkeypatch):
+        import pmixed.experiment as experiment
+
+        points = []
+        monkeypatch.setattr(experiment, "run_comparison", points.append)
+        config = ExperimentConfig.from_file(tiny_corpus["config_path"]).replace(runs=1)
+        for axis in ("T", "N", "alpha"):
+            with pytest.raises(ConfigError, match="integer"):
+                run_sweep(config, axis, [16, 2.5])
+        assert points == []
 
     def test_shorter_interaction_budget_allows_a_larger_radius(self, tiny_corpus):
         config = ExperimentConfig.from_file(tiny_corpus["config_path"]).replace(runs=1)

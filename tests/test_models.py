@@ -18,7 +18,6 @@ from pmixed import (
     load_corpus,
     load_snapshot,
     partition_corpus,
-    predict,
     save_snapshot,
     train_ngram,
 )
@@ -157,7 +156,7 @@ class TestStaticTable:
     def test_returns_stored_row_exactly(self, vocab):
         row = Distribution([0.7, 0.1, 0.1, 0.1])
         model = StaticTableModel(vocab, {(1, 2): row})
-        assert predict(model, [1, 2]) is row
+        assert model.distribution([1, 2]) is row
 
     def test_falls_back_to_default(self, vocab):
         default = Distribution([0.4, 0.3, 0.2, 0.1])

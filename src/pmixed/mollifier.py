@@ -103,6 +103,10 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
 
     def feasible(stack: np.ndarray, ref: np.ndarray, lam: np.ndarray) -> np.ndarray:
         mixtures = _mix_arrays(stack, ref, lam[:, np.newaxis])
+        if b == 0.0:
+            # a divergence below float precision rounds to 0, so at radius 0
+            # only the reference itself is inside the ball
+            return np.all(mixtures == ref, axis=1)
         return _renyi_arrays(mixtures, ref, a, symmetric=True) <= b * a
 
     weights = np.ones(rows.shape[0])

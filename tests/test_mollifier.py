@@ -97,6 +97,14 @@ class TestSolveLambda:
         assert result.mixing_weight <= TOL
         assert mollifier_membership(result.projected, p0, 2, 0.0)
 
+    def test_zero_radius_pins_a_nearby_row_exactly(self):
+        # a mixture this close to p0 has a divergence that rounds to 0
+        p0 = Distribution([0.4000707853732506, 0.5999292146267494])
+        p = Distribution([0.39956514748628225, 0.6004348525137178])
+        result = solve_lambda(p, p0, 2, 0.0)
+        assert result.mixing_weight == 0.0
+        assert np.array_equal(result.projected.probs, p0.probs)
+
     def test_matches_grid_oracle_on_reference_instance(self):
         # radius beta * alpha = 0.05 at order 2
         p, p0 = Distribution([0.9, 0.1]), Distribution([0.5, 0.5])

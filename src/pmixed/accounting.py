@@ -61,9 +61,13 @@ def check_integer_order(alpha) -> int:
 
 def check_positive_int(value, name: str) -> int:
     """Validate a count such as N or T: an integer (or integral float) >= 1."""
-    if int(value) != value or value < 1:
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, text, NaN, infinity
+        count = 0
+    if count != value or count < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+    return count
 
 
 def check_budget(eps_g) -> None:

@@ -17,7 +17,8 @@ import argparse
 import json
 import sys
 
-from .accounting import Accountant, BudgetExhaustedError, EpsMode, PrivacyParams
+from .accounting import (Accountant, BudgetExhaustedError, EpsMode, PrivacyParams,
+                         check_positive_int)
 from .experiment import (
     SWEEP_AXES,
     ConfigError,
@@ -170,6 +171,7 @@ def _iter_contexts(args):
 
 
 def _cmd_predict(args, out) -> int:
+    check_positive_int(args.steps, "--steps")
     vocab, public, members = load_snapshot(args.snapshot)
     params = PrivacyParams(eps_g=args.eps_g, delta=args.delta, T=args.T,
                            alpha=args.alpha, q=args.q, N=len(members))

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .accounting import Accountant, EpsMode, PrivacyParams
+from .accounting import Accountant, EpsMode, PrivacyParams, check_positive_int
 from .models import (
     EnsembleAverageModel,
     LanguageModel,
@@ -117,9 +117,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{label} path not found: {path!r}")
         if self.vocab_path is not None and not os.path.exists(self.vocab_path):
             raise ConfigError(f"vocab path not found: {self.vocab_path!r}")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs!r}")
         try:
+            check_positive_int(self.runs, "runs")
+            if self.max_seq_len is not None:
+                check_positive_int(self.max_seq_len, "max_seq_len")
             self.params()
         except ValueError as err:
             raise ConfigError(str(err)) from None

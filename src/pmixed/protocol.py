@@ -4,15 +4,14 @@ Each answered query runs the same sequence: Poisson-subsample the ensemble,
 project every selected model's distribution toward the public model's
 distribution, average the projections, sample one token from the average,
 and charge the session ledger.  When the subsample is empty the public
-distribution is released unchanged.  One seeded generator per session
-drives the subsampling and the token draw in a fixed interleaving, so a
-session's full trace is reproducible from its seed.
+distribution is released unchanged.  One seeded generator per session draws
+``N`` subsample uniforms then one token uniform per query, so a session's
+full trace is reproducible from its seed.
 
-Serving answers one query at a time with ``respond``.  Evaluation answers
-a block of queries with ``answer_block``: the block's draws come from one
-call on the same generator stream, its (query, member) pairs are projected
-in one bisection, and it releases and charges exactly what one ``respond``
-per query would.
+One answer path serves a list of queries with one draw, one bisection over
+every selected (query, member) pair, and one charge per query.  ``respond``
+runs it on one query and samples the token; ``answer_block`` runs it on an
+evaluation block and returns the released distributions.
 """
 
 from __future__ import annotations
@@ -65,11 +64,15 @@ def aggregate(projected: Sequence[Distribution]) -> Distribution:
     return Distribution._already_normalized(stacked.mean(axis=0))
 
 
+def _token_at(probs: np.ndarray, u: float) -> int:
+    """The token whose cumulative-probability interval holds ``u`` in [0, 1)."""
+    cum = np.cumsum(probs)
+    return int(np.searchsorted(cum, u * cum[-1], side="right"))
+
+
 def sample_token(dist: Distribution, rng: np.random.Generator) -> int:
     """Ancestral sample from the full distribution; no truncation, no temperature."""
-    cum = np.cumsum(dist.probs)
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right"))
+    return _token_at(dist.probs, rng.random())
 
 
 class PredictionSession:
@@ -103,78 +106,74 @@ class PredictionSession:
         self.rng_seed = int(seed)
         self.rng = np.random.default_rng(self.rng_seed)
 
+    def _answer(self, queries: Sequence[Sequence[int]]):
+        """The one answer path: refuse a request past the budget before any
+        draw, draw row ``j`` of ``rng.random((b, N + 1))`` for query ``j``
+        (``N`` subsample uniforms, then its token uniform), project every
+        selected (query, member) pair against its query's public distribution
+        in one :func:`solve_lambdas` call, release each query's mean
+        projection (its public distribution if none was selected) and charge
+        each query once.  A model failure releases and charges nothing.
+        Returns the released stack, the public distributions, the draws, and
+        the selected members and their weights in (query, member) order.
+        """
+        n, b = self.params.N, len(queries)
+        if b > (left := self.ledger.remaining_queries):
+            raise BudgetExhaustedError(f"query budget exhausted: {b} queries asked, "
+                                       f"{left} of {self.params.T} left")
+        draws = self.rng.random((b, n + 1))
+        owners, members = np.nonzero(draws[:, :n] < self.params.q)
+        publics = [self.public_model.distribution(x) for x in queries]
+        released = (np.array([d.probs for d in publics]) if publics
+                    else np.empty((0, self.public_model.vocab.size)))
+        lams = np.empty(0)
+        if owners.size:
+            rows = np.array([self.ensemble[m].distribution(queries[i]).probs
+                             for i, m in zip(owners.tolist(), members.tolist())])
+            refs = released[owners]
+            # one query's rows share a reference: pass it once, so the
+            # bisection takes its logarithms once instead of once per row
+            lams = solve_lambdas(rows, publics[0] if b == 1 else refs,
+                                 self.params.alpha, self.beta_star)
+            projected = _mix_arrays(rows, refs, lams[:, np.newaxis])
+            # np.nonzero lists the pairs query by query, so each query's
+            # projections are one run of rows, averaged in draw order
+            bounds = np.searchsorted(owners, np.arange(b + 1)).tolist()
+            for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
+                if end > start:
+                    released[i] = projected[start:end].mean(axis=0)
+        for _ in range(b):
+            self.ledger.charge()
+        return released, publics, draws, members, lams
+
     def respond(self, query: Sequence[int]) -> tuple[int, QueryRecord]:
         """Answer one query: returns the sampled token and the audit record.
 
-        Refuses (without consuming randomness or budget) if the ledger is
-        exhausted.  A model failure propagates without charging the ledger,
-        since no output is released.
+        The one-query case of :meth:`answer_block`, refused (without drawing
+        or charging) once the budget is spent, plus the token drawn from the
+        query's token uniform.  A model failure releases and charges nothing.
         """
-        if self.ledger.remaining_queries <= 0:
-            raise BudgetExhaustedError(
-                f"query budget exhausted after {self.params.T} answers"
-            )
-        subset = poisson_subsample(self.params.N, self.params.q, self.rng)
-        public_dist = self.public_model.distribution(query)
-        if subset.size == 0:
-            released, weights = public_dist, {}
-        else:
-            members = np.stack([self.ensemble[i].distribution(query).probs
-                                for i in subset.tolist()])
-            lams = solve_lambdas(members, public_dist, self.params.alpha, self.beta_star)
-            projected = _mix_arrays(members, public_dist.probs, lams[:, np.newaxis])
-            released = Distribution._already_normalized(projected.mean(axis=0))
-            weights = dict(zip(subset.tolist(), lams.tolist()))
-        token = sample_token(released, self.rng)
-        self.ledger.charge()
+        released, publics, draws, subset, lams = self._answer([query])
+        # an empty subset releases the public distribution object itself
+        dist = Distribution._already_normalized(released[0]) if subset.size else publics[0]
+        token = _token_at(released[0], draws[0, self.params.N])
         record = QueryRecord(
             query_context=tuple(int(t) for t in query),
-            subset=tuple(int(i) for i in subset),
-            mixing_weights=weights,
-            aggregate=released,
+            subset=tuple(subset.tolist()),
+            mixing_weights=dict(zip(subset.tolist(), lams.tolist())),
+            aggregate=dist,
             sampled_token=token,
         )
         return token, record
 
     def answer_block(self, queries: Sequence[Sequence[int]]) -> np.ndarray:
         """Answer ``queries`` in order as one block; returns the released
-        ``(b, V)`` stack, row ``j`` answering ``queries[j]``.
-
-        Each row equals the aggregate that :meth:`respond` would release for
-        that query, and the block draws from the generator and charges the
-        ledger exactly as ``b`` calls of :meth:`respond` would: one
-        ``rng.random((b, N + 1))`` is the same stream as ``N`` subsample
-        uniforms then one token uniform per query.  Tokens are not sampled,
-        since an evaluation scores the released distribution itself.  Every
-        selected (query, member) pair of the block is projected in one
-        :func:`solve_lambdas` call, each row against its own query's public
-        distribution.  A block larger than the budget left is refused before
-        any draw; a model failure releases and charges nothing in the block.
+        ``(b, V)`` stack, row ``j`` answering ``queries[j]``, with the draws
+        and charges of ``b`` calls of :meth:`respond`.  Tokens are not
+        sampled: an evaluation scores the released distribution itself.  A
+        block larger than the budget left is refused before any draw.
         """
-        n, b = self.params.N, len(queries)
-        if b > self.ledger.remaining_queries:
-            raise BudgetExhaustedError(
-                f"a block of {b} queries exceeds the "
-                f"{self.ledger.remaining_queries} answers left of {self.params.T}"
-            )
-        draws = self.rng.random((b, n + 1))
-        owners, members = np.nonzero(draws[:, :n] < self.params.q)
-        released = np.stack([self.public_model.distribution(x).probs for x in queries])
-        if owners.size:
-            rows = np.stack([self.ensemble[m].distribution(queries[i]).probs
-                             for i, m in zip(owners.tolist(), members.tolist())])
-            refs = released[owners]
-            lams = solve_lambdas(rows, refs, self.params.alpha, self.beta_star)
-            projected = _mix_arrays(rows, refs, lams[:, np.newaxis])
-            answered, counts = np.unique(owners, return_counts=True)
-            # np.add.at adds rows one at a time in order, the order that
-            # respond's projected.mean(axis=0) sums them in
-            sums = np.zeros((b, released.shape[1]))
-            np.add.at(sums, owners, projected)
-            released[answered] = sums[answered] / counts[:, np.newaxis]
-        for _ in range(b):
-            self.ledger.charge()
-        return released
+        return self._answer(queries)[0]
 
     def run_session(self, queries: Sequence[Sequence[int]]) -> list[QueryRecord]:
         """Answer queries in order; on budget exhaustion the raised error

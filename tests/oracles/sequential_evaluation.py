@@ -2,16 +2,18 @@
 they were answered in blocks.
 
 ``perplexity_of_protocol`` here is the earlier evaluation loop, one
-``PredictionSession.respond`` call per position, unchanged except that it
-also appends every scored probability to ``probs``.  The property tests
-require the block path to match it bit for bit, so keep its arithmetic and
-its order of draws and charges exactly as they are.
+reference ``respond`` (``per_query_respond``) per position, unchanged except
+that it also appends every scored probability to ``probs``.  The property
+tests require the block path to match it bit for bit, so keep its arithmetic
+and its order of draws and charges exactly as they are.
 """
 
 import math
 
 from pmixed.accounting import BudgetExhaustedError
 from pmixed.experiment import PartialEvaluationError
+
+from oracles.per_query_respond import respond
 
 
 def perplexity_of_protocol(session, test_sequences, probs: list) -> float:
@@ -20,7 +22,7 @@ def perplexity_of_protocol(session, test_sequences, probs: list) -> float:
     for seq in test_sequences:
         for t in range(len(seq)):
             try:
-                _, record = session.respond(seq[:t])
+                _, record = respond(session, seq[:t])
             except BudgetExhaustedError:
                 raise PartialEvaluationError(positions, nll_total) from None
             prob = float(record.aggregate.probs[seq[t]])

@@ -270,6 +270,11 @@ class TestPrivacyParams:
         params = PrivacyParams(**{**TABLE_PARAMS, "alpha": 3.0})
         assert params.alpha == 3 and isinstance(params.alpha, int)
 
+    def test_non_finite_and_non_numeric_counts_raise_value_error(self):
+        for bad in (math.inf, -math.inf, math.nan, None, "many", 1.5):
+            with pytest.raises(ValueError, match="T must be a positive integer"):
+                PrivacyParams(**{**TABLE_PARAMS, "T": bad})
+
 
 class TestLedger:
     def params(self, T=1024):

@@ -1,11 +1,11 @@
-"""Block evaluation against the per-query oracle, and the block's own rules."""
+"""Both answer paths against the per-query oracles, and the block's own rules."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sequential_evaluation
+from oracles import per_query_respond, sequential_evaluation
 from pmixed import (BudgetExhaustedError, Distribution, EpsMode, PartialEvaluationError,
                     PredictionSession, PrivacyParams, StaticTableModel, Vocabulary,
                     perplexity_of_protocol, symmetric_renyi, train_ngram)
@@ -78,6 +78,47 @@ def test_block_path_matches_the_sequential_oracle(instance):
     assert blocked[1:] == expected[1:]
 
 
+class RecordingModel:
+    """A public model that keeps the distribution object it returned last."""
+
+    def __init__(self, model):
+        self.model, self.vocab, self.last = model, model.vocab, None
+
+    def distribution(self, context):
+        self.last = self.model.distribution(context)
+        return self.last
+
+
+@settings(max_examples=50, deadline=None)
+@given(evaluations())
+def test_respond_matches_the_per_query_oracle(instance):
+    """Token, subset, weights and aggregate bit for bit, the public object
+    itself on an empty subset, and the ledger and generator after every query,
+    refusals included."""
+    members, public, sequences, params, seed = instance
+    queries = [seq[:t] for seq in sequences for t in range(len(seq) + 1)]
+    sessions = [PredictionSession(members, RecordingModel(public), params,
+                                  mode=EpsMode.PAPER_FAITHFUL, seed=seed) for _ in range(2)]
+    answers = (PredictionSession.respond, per_query_respond.respond)
+    for query in queries:
+        outcomes = []
+        for answer, session in zip(answers, sessions):
+            try:
+                token, record = answer(session, query)
+            except BudgetExhaustedError as err:
+                assert "budget exhausted" in str(err)
+                outcome = "refused"
+            else:
+                empty = record.subset == ()
+                assert (record.aggregate is session.public_model.last) == empty
+                outcome = (token, record.query_context, record.subset, record.mixing_weights,
+                           record.aggregate.probs.tobytes())
+            ledger = session.ledger
+            outcomes.append((outcome, ledger.queries_answered, ledger.spent,
+                             session.rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+
+
 @pytest.fixture
 def vocab():
     return Vocabulary(["<unk>", "a", "b", "c"])
@@ -98,6 +139,15 @@ def test_block_past_the_budget_is_refused_before_any_draw(vocab):
     assert session.rng.bit_generator.state == state
     assert session.answer_block([[1]] * 3).shape == (3, vocab.size)
     assert session.ledger.queries_answered == 3
+
+
+def test_empty_block_draws_and_charges_nothing(vocab):
+    session = session_over(vocab, [StaticTableModel(vocab, {})], T=1)
+    session.respond([1])
+    state = session.rng.bit_generator.state
+    assert session.answer_block([]).shape == (0, vocab.size)
+    assert session.ledger.queries_answered == 1
+    assert session.rng.bit_generator.state == state
 
 
 def test_failed_rows_release_and_charge_nothing_in_their_block(vocab):

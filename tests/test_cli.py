@@ -105,6 +105,15 @@ class TestTrainAndPredict:
         assert code == 1
         assert "refused" in capsys.readouterr().err
 
+    def test_predict_steps_below_one_is_a_usage_error(self, snapshot, capsys):
+        for steps in ("0", "-2"):
+            code = main(["predict", "--snapshot", str(snapshot), "--context", "v1",
+                         "--steps", steps, "--queries", "4", "--q", "0.5"])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert "usage" in captured.err and "--steps" in captured.err
+            assert captured.out == ""
+
     def test_predict_reads_input_file(self, snapshot, capsys, tmp_path):
         contexts = tmp_path / "contexts.txt"
         contexts.write_text("v1 v2\nv3\n", encoding="utf-8")
@@ -131,6 +140,15 @@ class TestCompareAndSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert "usage" in err and "not found" in err
+
+    @pytest.mark.parametrize("bad", [{"T": float("inf")}, {"runs": 1.5},
+                                     {"max_seq_len": -3}])
+    def test_compare_bad_count_in_config_exits_2(self, tiny_corpus, tmp_path, capsys, bad):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**tiny_corpus["config"], **bad}), encoding="utf-8")
+        assert main(["compare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "must be a positive integer" in err
 
     def test_compare_override_changes_the_config_record(self, tiny_corpus, tmp_path):
         out = tmp_path / "report.jsonl"

@@ -150,6 +150,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config.replace(q=2.0).validate()
 
+    def test_runs_and_max_seq_len_must_be_positive_integers(self, tiny_corpus):
+        config = ExperimentConfig.from_file(tiny_corpus["config_path"])
+        for bad in ({"runs": 1.5}, {"runs": 0}, {"runs": float("inf")},
+                    {"max_seq_len": -3}, {"max_seq_len": 0}, {"max_seq_len": 2.5}):
+            with pytest.raises(ConfigError, match="must be a positive integer"):
+                config.replace(**bad).validate()
+        config.replace(max_seq_len=None).validate()
+        config.replace(runs=1, max_seq_len=3).validate()
+
 
 class TestRunComparison:
     def test_three_arms_and_accounting(self, tiny_corpus):

@@ -119,8 +119,8 @@ class PredictionSession:
         """
         n, b = self.params.N, len(queries)
         if b > (left := self.ledger.remaining_queries):
-            raise BudgetExhaustedError(f"query budget exhausted: {b} queries asked, "
-                                       f"{left} of {self.params.T} left")
+            raise BudgetExhaustedError(f"query budget exhausted: {left} of {self.params.T} "
+                                       f"answers left, {b} asked")
         draws = self.rng.random((b, n + 1))
         owners, members = np.nonzero(draws[:, :n] < self.params.q)
         publics = [self.public_model.distribution(x) for x in queries]

@@ -47,7 +47,7 @@ from .models import (
     train_ngram,
 )
 from .mollifier import MollificationResult, mix, mollifier_membership, solve_lambda, solve_lambdas
-from .protocol import PredictionSession, QueryRecord, aggregate, poisson_subsample, sample_token
+from .protocol import PredictionSession, QueryRecord
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "QueryRecord",
     "StaticTableModel",
     "Vocabulary",
-    "aggregate",
     "base_eps_for_order",
     "beta_infinite_order",
     "beta_infinite_order_lower",
@@ -85,12 +84,10 @@ __all__ = [
     "per_query_eps",
     "perplexity_of_model",
     "perplexity_of_protocol",
-    "poisson_subsample",
     "rdp_to_dp",
     "renyi_divergence",
     "run_comparison",
     "run_sweep",
-    "sample_token",
     "save_snapshot",
     "serialize_trace",
     "solve_beta_star",

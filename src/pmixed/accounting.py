@@ -34,7 +34,8 @@ class EpsMode(Enum):
     closed-form radius bound when there is no subsampling.  CONSERVATIVE
     takes the worst case over every subset size the subsampling could
     realize, which is sound regardless of the drawn subset, and is the
-    default.
+    default; that worst case is the size-2 average (size 1 when N = 1), see
+    :func:`base_eps_for_order`.
     """
 
     PAPER_FAITHFUL = "paper-faithful"
@@ -49,24 +50,36 @@ class BudgetExhaustedError(RuntimeError):
         self.records = records
 
 
+def _integral(value) -> int | None:
+    """``value`` as an int when it is an integer or an integral float, else None."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, text, NaN, infinity
+        return None
+    return number if number == value else None
+
+
 def check_integer_order(alpha) -> int:
     """Validate an accounting order: an integer (or integral float) >= 2."""
-    if isinstance(alpha, float) and not alpha.is_integer():
-        raise ValueError(f"accounting order must be an integer >= 2, got {alpha!r}")
-    a = int(alpha)
-    if a < 2:
+    a = _integral(alpha)
+    if a is None or a < 2:
         raise ValueError(f"accounting order must be an integer >= 2, got {alpha!r}")
     return a
 
 
 def check_positive_int(value, name: str) -> int:
     """Validate a count such as N or T: an integer (or integral float) >= 1."""
-    try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):  # None, text, NaN, infinity
-        count = 0
-    if count != value or count < 1:
+    count = _integral(value)
+    if count is None or count < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return count
+
+
+def check_nonnegative_int(value, name: str) -> int:
+    """Validate a subset size or a seed: an integer (or integral float) >= 0."""
+    count = _integral(value)
+    if count is None or count < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     return count
 
 
@@ -153,9 +166,7 @@ def per_query_eps(beta: float, alpha: int, subset_size: int) -> float:
     """
     a = check_integer_order(alpha)
     b = _check_radius(beta)
-    s = int(subset_size)
-    if s != subset_size or s < 0:
-        raise ValueError(f"subset size must be a nonnegative integer, got {subset_size!r}")
+    s = check_nonnegative_int(subset_size, "subset size")
     if s == 0:
         return 0.0
     if s == 1:
@@ -170,14 +181,18 @@ def base_eps_for_order(beta: float, k: int, N: int, mode: EpsMode) -> float:
     """Per-query loss at order ``k`` fed into the subsampling amplification.
 
     PAPER_FAITHFUL evaluates at subset size ``N``; CONSERVATIVE maximizes
-    over every size the subsample could realize.
+    over every size 1..N the subsample could realize.  Sizes 1 and 2 are
+    enough: with ``y = 4 k (k-1) beta``, a size ``s >= 2`` costs
+    ``log1p(expm1(y) / s) / (k-1)``, which does not increase with ``s``,
+    and size 2 dominates size 1, since ``log((1 + e**y) / 2) >= y / 2``
+    (AM-GM) gives at least ``2 k beta`` against size 1's ``k beta``.
     """
     k = check_integer_order(k)
-    check_positive_int(N, "ensemble size")
+    n = check_positive_int(N, "ensemble size")
     if mode is EpsMode.PAPER_FAITHFUL:
-        return per_query_eps(beta, k, N)
+        return per_query_eps(beta, k, n)
     if mode is EpsMode.CONSERVATIVE:
-        return max(per_query_eps(beta, k, s) for s in range(1, N + 1))
+        return max(per_query_eps(beta, k, s) for s in range(1, min(n, 2) + 1))
     raise ValueError(f"unknown mode {mode!r}")
 
 

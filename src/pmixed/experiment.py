@@ -28,7 +28,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .accounting import Accountant, EpsMode, PrivacyParams, check_positive_int
+from .accounting import (Accountant, EpsMode, PrivacyParams, check_nonnegative_int,
+                         check_positive_int)
 from .models import (
     EnsembleAverageModel,
     LanguageModel,
@@ -107,7 +108,9 @@ class ExperimentConfig:
             N=self.n_models,
         )
 
-    def validate(self) -> None:
+    def validate(self) -> "ExperimentConfig":
+        """Check the paths and values; returns this config with every count
+        and the seed as an int, the form a run uses."""
         for label, path in (
             ("private corpus", self.private_corpus_path),
             ("public corpus", self.public_corpus_path),
@@ -118,12 +121,16 @@ class ExperimentConfig:
         if self.vocab_path is not None and not os.path.exists(self.vocab_path):
             raise ConfigError(f"vocab path not found: {self.vocab_path!r}")
         try:
-            check_positive_int(self.runs, "runs")
+            ints = {"runs": check_positive_int(self.runs, "runs")}
             if self.max_seq_len is not None:
-                check_positive_int(self.max_seq_len, "max_seq_len")
-            self.params()
+                ints["max_seq_len"] = check_positive_int(self.max_seq_len, "max_seq_len")
+            params = self.params()
+            ints.update(T=params.T, alpha=params.alpha, n_models=params.N,
+                        order=check_positive_int(self.order, "order"),
+                        seed=check_nonnegative_int(self.seed, "seed"))
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        return self.replace(**ints)
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
@@ -170,18 +177,26 @@ def _record_line(record: dict) -> str:
     return json.dumps(_round9(record), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def perplexity_of_model(model: LanguageModel, test_sequences: Sequence[Sequence[int]]) -> float:
-    """exp of the mean negative log-likelihood over every next-token position."""
+def _perplexity(target_probs: Iterator[float], n_positions: int = 0) -> float:
+    """exp of the mean negative log-likelihood of the true next tokens, given
+    each one's probability; fewer than ``n_positions`` means the budget ran out."""
     nll_total = 0.0
     positions = 0
-    for seq in test_sequences:
-        for t in range(len(seq)):
-            prob = float(model.distribution(seq[:t]).probs[seq[t]])
-            nll_total += math.inf if prob <= 0.0 else -math.log(prob)
-            positions += 1
+    for prob in target_probs:
+        nll_total += math.inf if prob <= 0.0 else -math.log(prob)
+        positions += 1
+    if positions < n_positions:
+        raise PartialEvaluationError(positions, nll_total)
     if positions == 0:
         raise ValueError("test corpus contains no positions to score")
     return math.exp(nll_total / positions)
+
+
+def perplexity_of_model(model: LanguageModel, test_sequences: Sequence[Sequence[int]]) -> float:
+    """exp of the mean negative log-likelihood over every next-token position."""
+    probs = (float(model.distribution(seq[:t]).probs[seq[t]])
+             for seq in test_sequences for t in range(len(seq)))
+    return _perplexity(probs)
 
 
 def _target_probabilities(session: PredictionSession,
@@ -213,16 +228,8 @@ def perplexity_of_protocol(session: PredictionSession,
     :class:`PartialEvaluationError` carrying the positions scored so far is
     raised.
     """
-    nll_total = 0.0
-    positions = 0
-    for prob in _target_probabilities(session, test_sequences):
-        nll_total += math.inf if prob <= 0.0 else -math.log(prob)
-        positions += 1
-    if positions < sum(len(seq) for seq in test_sequences):
-        raise PartialEvaluationError(positions, nll_total)
-    if positions == 0:
-        raise ValueError("test corpus contains no positions to score")
-    return math.exp(nll_total / positions)
+    return _perplexity(_target_probabilities(session, test_sequences),
+                       sum(len(seq) for seq in test_sequences))
 
 
 @dataclass
@@ -356,7 +363,7 @@ def run_comparison(config: ExperimentConfig) -> ExperimentReport:
     A failing arm is marked failed in the report; the remaining arms are
     still evaluated and reported.
     """
-    config.validate()
+    config = config.validate()
     vocab, private_seqs, public_seqs = _load_inputs(
         config.private_corpus_path, config.public_corpus_path, config.vocab_path)
     test_seqs = [vocab.encode(doc[:config.max_seq_len])
@@ -401,12 +408,14 @@ def run_comparison(config: ExperimentConfig) -> ExperimentReport:
 def run_sweep(config: ExperimentConfig, axis: str, values: Sequence) -> ExperimentReport:
     """Repeat the comparison for each value of one hyperparameter.
 
-    ``axis`` is one of ``eps_G``, ``T``, ``N``, ``q``, ``alpha``.  A failing
-    value is recorded as a failed row and the sweep continues.
+    ``axis`` is one of ``eps_G``, ``T``, ``N``, ``q``, ``alpha``.  The base
+    config is validated before any point, as :func:`run_comparison` would;
+    a failing value is recorded as a failed row and the sweep continues.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
     field_name = SWEEP_AXES[axis]
+    config = config.validate()
     seeds = [config.seed + r for r in range(config.runs)]
     report = ExperimentReport(config=config.to_dict(), seed_schedule=seeds,
                               sweep_axis=axis)

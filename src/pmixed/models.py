@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .accounting import check_positive_int
 from .divergence import Distribution
 
 UNKNOWN_TOKEN = "<unk>"
@@ -112,11 +113,9 @@ class NGramModel(LanguageModel):
 
     def __init__(self, order: int, smoothing_k: float, vocab: Vocabulary,
                  counts: dict[tuple[int, ...], dict[int, int]] | None = None):
-        if int(order) != order or order < 1:
-            raise ValueError(f"order must be a positive integer, got {order!r}")
+        self.order = check_positive_int(order, "order")
         if not smoothing_k > 0.0:
             raise ValueError(f"smoothing_k must be positive, got {smoothing_k!r}")
-        self.order = int(order)
         self.context_width = self.order - 1
         self.smoothing_k = float(smoothing_k)
         self.vocab = vocab
@@ -235,17 +234,15 @@ def partition_corpus(documents: Sequence, n_subsets: int, seed: int) -> list[lis
     so every document lands in exactly one subset and sizes differ by at
     most one.
     """
-    if int(n_subsets) != n_subsets or n_subsets < 1:
-        raise ValueError(f"number of subsets must be a positive integer, got {n_subsets!r}")
-    if len(documents) < n_subsets:
+    n = check_positive_int(n_subsets, "number of subsets")
+    if len(documents) < n:
         raise ValueError(
-            f"need at least {n_subsets} documents to build {n_subsets} subsets, "
-            f"got {len(documents)}"
+            f"need at least {n} documents to build {n} subsets, got {len(documents)}"
         )
     order = np.random.default_rng(seed).permutation(len(documents))
-    subsets: list[list] = [[] for _ in range(int(n_subsets))]
+    subsets: list[list] = [[] for _ in range(n)]
     for position, doc_index in enumerate(order):
-        subsets[position % n_subsets].append(documents[int(doc_index)])
+        subsets[position % n].append(documents[int(doc_index)])
     return subsets
 
 

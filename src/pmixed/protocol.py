@@ -8,10 +8,11 @@ distribution is released unchanged.  One seeded generator per session draws
 ``N`` subsample uniforms then one token uniform per query, so a session's
 full trace is reproducible from its seed.
 
-One answer path serves a list of queries with one draw, one bisection over
-every selected (query, member) pair, and one charge per query.  ``respond``
-runs it on one query and samples the token; ``answer_block`` runs it on an
-evaluation block and returns the released distributions.
+These steps live in one place, the private answer path, which serves a
+list of queries with one draw, one bisection over every selected (query,
+member) pair, and one charge per query.  ``respond`` runs it on one query and
+samples the token; ``answer_block`` runs it on an evaluation block and
+returns the released distributions.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .accounting import (
     BudgetExhaustedError,
     EpsMode,
     PrivacyParams,
-    check_positive_int,
-    check_probability,
 )
 from .divergence import Distribution
 from .mollifier import _mix_arrays, solve_lambdas
@@ -49,30 +48,10 @@ class QueryRecord:
     sampled_token: int
 
 
-def poisson_subsample(n_models: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Indices of models selected independently with probability ``q`` each."""
-    n = check_positive_int(n_models, "ensemble size")
-    check_probability(q, "q", allow_one=True)
-    return np.flatnonzero(rng.random(n) < q)
-
-
-def aggregate(projected: Sequence[Distribution]) -> Distribution:
-    """Entrywise arithmetic mean of the projected distributions."""
-    if len(projected) == 0:
-        raise ValueError("cannot aggregate an empty list; release the public model instead")
-    stacked = np.stack([d.probs for d in projected])  # rejects mixed vocabularies
-    return Distribution._already_normalized(stacked.mean(axis=0))
-
-
 def _token_at(probs: np.ndarray, u: float) -> int:
     """The token whose cumulative-probability interval holds ``u`` in [0, 1)."""
     cum = np.cumsum(probs)
     return int(np.searchsorted(cum, u * cum[-1], side="right"))
-
-
-def sample_token(dist: Distribution, rng: np.random.Generator) -> int:
-    """Ancestral sample from the full distribution; no truncation, no temperature."""
-    return _token_at(dist.probs, rng.random())
 
 
 class PredictionSession:

@@ -99,6 +99,15 @@ class TestBaseEpsForOrder:
         grid = max(per_query_eps(0.01, 3, s) for s in range(1, 81))
         assert got == grid
 
+    def test_conservative_equals_the_maximum_over_every_subset_size(self):
+        # 0, the smallest subnormal, and radii whose exponent passes the exp limit
+        betas = [0.0, 5e-324] + [10.0 ** (e / 4) for e in range(-48, 17)]
+        for beta in betas:
+            for k in range(2, 9):
+                for n in (1, 2, 3, 80, 200):
+                    every_size = max(per_query_eps(beta, k, s) for s in range(1, n + 1))
+                    assert base_eps_for_order(beta, k, n, EpsMode.CONSERVATIVE) == every_size
+
     def test_conservative_dominates_paper_faithful(self):
         for beta in (0.001, 0.01, 0.1):
             conservative = base_eps_for_order(beta, 3, 80, EpsMode.CONSERVATIVE)

@@ -150,6 +150,29 @@ class TestCompareAndSweep:
         err = capsys.readouterr().err
         assert "usage" in err and "must be a positive integer" in err
 
+    @pytest.mark.parametrize("field", ["runs", "n_models", "max_seq_len", "seed", "T",
+                                       "alpha", "order"])
+    def test_compare_integral_float_writes_the_report_of_the_int(self, tiny_corpus,
+                                                                 tmp_path, field):
+        value = {"max_seq_len": 4, "seed": 3}.get(field, tiny_corpus["config"].get(field))
+        reports = []
+        for given in (value, float(value)):
+            config, out = tmp_path / "config.json", tmp_path / "report.jsonl"
+            config.write_text(json.dumps({**tiny_corpus["config"], field: given}),
+                              encoding="utf-8")
+            assert main(["compare", "--config", str(config), "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("seed", [3.5, -1])
+    def test_compare_bad_seed_in_config_exits_2(self, tiny_corpus, tmp_path, capsys, seed):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**tiny_corpus["config"], "seed": seed}),
+                          encoding="utf-8")
+        assert main(["compare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "seed must be a nonnegative integer" in err
+
     def test_compare_override_changes_the_config_record(self, tiny_corpus, tmp_path):
         out = tmp_path / "report.jsonl"
         code = main(["compare", "--config", str(tiny_corpus["config_path"]),
@@ -178,6 +201,16 @@ class TestCompareAndSweep:
                      "--output", str(out)])
         assert code == 2
         assert "integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_fractional_runs_in_config_exits_2(self, tiny_corpus, tmp_path, capsys):
+        config, out = tmp_path / "config.json", tmp_path / "sweep.jsonl"
+        config.write_text(json.dumps({**tiny_corpus["config"], "runs": 1.5}),
+                          encoding="utf-8")
+        code = main(["sweep", "--config", str(config), "--axis", "eps_G",
+                     "--values", "0.5,2", "--output", str(out)])
+        assert code == 2
+        assert "runs must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_rejects_bad_axis(self, tiny_corpus):

@@ -13,9 +13,6 @@ from pmixed import (
     PrivacyParams,
     StaticTableModel,
     Vocabulary,
-    aggregate,
-    poisson_subsample,
-    sample_token,
     solve_lambda,
     symmetric_renyi,
 )
@@ -32,78 +29,52 @@ def table_session(dists, public_probs, params, vocab, seed=0, **kwargs):
     return PredictionSession(members, public, params, seed=seed, **kwargs)
 
 
-class TestPoissonSubsample:
-    def test_full_probability_selects_everyone(self):
-        rng = np.random.default_rng(0)
-        assert list(poisson_subsample(7, 1.0, rng)) == list(range(7))
+class TestRespondDraws:
+    """Subsampling and token sampling as ``respond`` runs them.  Selecting
+    everyone at q = 1, the plain mean at lambda = 1, seeded reproducibility
+    and bad q are covered in TestSession and test_accounting."""
 
-    def test_tiny_probability_is_mostly_empty(self):
-        rng = np.random.default_rng(1)
-        sizes = [poisson_subsample(10, 1e-4, rng).size for _ in range(200)]
-        assert sum(sizes) <= 2
-
-    def test_mean_subset_size(self):
-        rng = np.random.default_rng(2)
-        sizes = [poisson_subsample(80, 0.03, rng).size for _ in range(10_000)]
-        stderr = math.sqrt(80 * 0.03 * 0.97 / 10_000)
+    def test_mean_subset_size(self, vocab):
+        # members equal to the public row need no projection search
+        params = PrivacyParams(1.0, 1e-5, 2000, 3, 0.03, 80)
+        session = table_session([Distribution([0.25] * 4)] * 80, [0.25] * 4, params,
+                                vocab, seed=2)
+        sizes = [len(r.subset) for r in session.run_session([[1]] * 2000)]
+        stderr = math.sqrt(80 * 0.03 * 0.97 / 2000)
         assert abs(np.mean(sizes) - 2.4) <= 3 * stderr
 
-    def test_rejects_bad_probability(self):
-        rng = np.random.default_rng(3)
-        for q in (0.0, 1.2, -0.1):
-            with pytest.raises(ValueError):
-                poisson_subsample(5, q, rng)
-
-
-class TestAggregate:
-    def test_single_distribution_unchanged(self):
-        d = Distribution([0.3, 0.7])
-        assert np.array_equal(aggregate([d]).probs, d.probs)
-
-    def test_two_point_masses_average_to_uniform(self):
-        got = aggregate([Distribution([1.0, 0.0]), Distribution([0.0, 1.0])])
-        assert np.array_equal(got.probs, [0.5, 0.5])
-
-    def test_three_way_mean(self):
-        rng = np.random.default_rng(4)
-        dists = [Distribution(rng.dirichlet(np.ones(5))) for _ in range(3)]
-        expected = sum(d.probs for d in dists) / 3.0
-        assert np.allclose(aggregate(dists).probs, expected, atol=1e-15)
-
-    def test_empty_list_raises(self):
-        with pytest.raises(ValueError):
-            aggregate([])
-
-    def test_mismatched_sizes_raise(self):
-        with pytest.raises(ValueError):
-            aggregate([Distribution([0.5, 0.5]), Distribution([0.25] * 4)])
-
-
-class TestSampleToken:
-    def test_point_mass(self):
-        rng = np.random.default_rng(5)
-        d = Distribution([0.0, 0.0, 0.0, 1.0])
-        assert all(sample_token(d, rng) == 3 for _ in range(20))
-
-    def test_uniform_frequencies(self):
+    def test_token_frequencies_match_the_released_aggregate(self, vocab):
+        # members near the public row sit inside the ball: no projection search
         rng = np.random.default_rng(6)
-        d = Distribution([0.25] * 4)
-        draws = np.array([sample_token(d, rng) for _ in range(100_000)])
-        stderr = math.sqrt(0.25 * 0.75 / 100_000)
-        for token in range(4):
-            assert abs(np.mean(draws == token) - 0.25) <= 3 * stderr
+        dists = [Distribution(rng.dirichlet(np.full(4, 40.0))) for _ in range(3)]
+        params = PrivacyParams(4000.0, 1e-5, 4000, 3, 0.5, 3)
+        session = table_session(dists, [0.25] * 4, params, vocab, seed=6)
+        records = session.run_session([[1]] * 4000)
+        by_subset = {}
+        for r in records:
+            by_subset.setdefault(r.subset, []).append(r)
+        assert len(by_subset) == 8  # every subset of 3 members, so 8 aggregates
+        for group in by_subset.values():
+            # one subset, one aggregate: its tokens are draws from that aggregate
+            probs = group[0].aggregate.probs
+            counts = np.bincount([r.sampled_token for r in group], minlength=4)
+            stderr = np.sqrt(len(group) * probs * (1.0 - probs))
+            assert np.all(np.abs(counts - len(group) * probs) <= 3 * stderr)
 
-    def test_never_emits_zero_probability_tail(self):
-        rng = np.random.default_rng(7)
-        d = Distribution([0.5, 0.5, 0.0, 0.0])
-        draws = {sample_token(d, rng) for _ in range(1000)}
-        assert draws <= {0, 1}
+    def test_never_emits_a_zero_probability_token(self, vocab):
+        members = [Distribution([0.0, 0.5, 0.5, 0.0]), Distribution([0.0, 0.7, 0.3, 0.0])]
+        params = PrivacyParams(500.0, 1e-5, 500, 3, 0.5, 2)
+        session = table_session(members, [0.0, 0.6, 0.4, 0.0], params, vocab, seed=7)
+        records = session.run_session([[1]] * 500)
+        assert {r.sampled_token for r in records} == {1, 2}
 
-    def test_deterministic_given_seed(self):
-        d = Distribution([0.1, 0.2, 0.3, 0.4])
-        first = [sample_token(d, np.random.default_rng(8)) for _ in range(50)]
-        second = [sample_token(d, np.random.default_rng(8)) for _ in range(50)]
-        assert first == second
+    def test_point_mass_aggregate_always_yields_its_token(self, vocab):
+        point = Distribution([0.0, 0.0, 0.0, 1.0])
+        params = PrivacyParams(1.0, 1e-5, 50, 3, 0.5, 2)
+        session = table_session([point] * 2, point.probs, params, vocab, seed=5)
+        records = session.run_session([[1]] * 50)
+        assert any(r.subset for r in records) and any(not r.subset for r in records)
+        assert all(r.sampled_token == 3 for r in records)
 
 
 class TestSession:

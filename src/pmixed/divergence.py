@@ -5,6 +5,11 @@ accounting checks) is built on the two operations in this module:
 ``renyi_divergence`` and its symmetrized variant ``symmetric_renyi``.
 All divergences are in nats and the order must be a real number strictly
 greater than 1, or ``INFINITY`` for the max-log-ratio limit.
+
+Those two, the mollifier's membership check and its projection search all
+run one row-wise kernel in two steps: a reference step that takes the
+reference's logarithms once, and an evaluation step that the search reuses
+for every stack of mixtures it tries.
 """
 
 from __future__ import annotations
@@ -107,20 +112,67 @@ def _matched(p, q) -> tuple[np.ndarray, np.ndarray]:
     return pa, qa
 
 
-def _renyi_arrays(p: np.ndarray, q: np.ndarray, alpha: float,
-                  symmetric: bool = False) -> np.ndarray:
-    """Row-wise ``D(p || q)``, or the larger of both directions if ``symmetric``,
-    over normalized ``(V,)`` or ``(k, V)`` arrays that broadcast together.
+class _Reference:
+    """A reference distribution ``q`` prepared once for many kernel calls.
+
+    ``probs`` is ``(V,)``, shared by every row, or ``(..., V)`` with one
+    reference per row.  ``offsets[..., d, :]`` is the ``q`` half of
+    direction ``d``'s terms and ``factors[d]`` the factor of ``log p`` in
+    them: ``(1-a) log q`` and ``a`` forward, ``a log q`` and ``1-a``
+    backward at finite order ``a``; ``-log q`` and 1, ``log q`` and -1 at
+    infinite order.  ``log q`` is taken on ``q``'s support and 0 off it.
+    ``positive`` is whether ``q > 0`` everywhere.
+    """
+
+    __slots__ = ("probs", "covered", "offsets", "factors", "alpha", "symmetric", "positive")
+
+    def __init__(self, probs, covered, offsets, factors, alpha, symmetric, positive):
+        self.probs, self.covered, self.offsets, self.factors = probs, covered, offsets, factors
+        self.alpha, self.symmetric, self.positive = alpha, symmetric, positive
+
+    def take(self, index) -> "_Reference":
+        """The reference of the rows ``index`` selects; a shared one as is."""
+        if self.probs.ndim == 1:
+            return self
+        return _Reference(self.probs[index], self.covered[index], self.offsets[index],
+                          self.factors, self.alpha, self.symmetric, self.positive)
+
+
+def _prepare_reference(q: np.ndarray, alpha: float, symmetric: bool = False) -> _Reference:
+    """The reference step of the kernel: ``q``'s support, ``log q`` and the
+    ``q`` half of each direction's terms, computed once per reference."""
+    covered = q > 0.0
+    positive = bool(covered.all())
+    logq = np.log(q if positive else np.where(covered, q, 1.0))
+    if math.isinf(alpha):
+        offsets, factors = (-logq, logq), (1.0, -1.0)
+    else:
+        offsets, factors = ((1.0 - alpha) * logq, alpha * logq), (alpha, 1.0 - alpha)
+    count = 1 + symmetric
+    return _Reference(q, covered, np.stack(offsets[:count], axis=-2),
+                      np.array(factors[:count])[:, np.newaxis], alpha, symmetric, positive)
+
+
+def _renyi_prepared(p: np.ndarray, ref: _Reference) -> np.ndarray:
+    """The evaluation step of the kernel: row-wise ``D(p || q)``, or the
+    larger of both directions if ``ref`` is symmetric, over normalized
+    ``(..., V)`` rows that broadcast against the reference.
+
     Support is masked: a row is ``inf`` where ``q`` misses part of ``p``'s
-    support (symmetric: where the supports differ) and 0 where ``p == q``."""
-    p, q = np.atleast_2d(p), np.atleast_2d(q)
-    support, covered = p > 0.0, q > 0.0
-    logp = np.log(np.where(support, p, 1.0))
-    logq = np.log(np.where(covered, q, 1.0))
-    directions = ((logp, logq), (logq, logp))[: 1 + symmetric]
-    terms = np.stack([lp - lq if math.isinf(alpha) else alpha * lp + (1.0 - alpha) * lq
-                      for lp, lq in directions])
-    terms = np.where(support, terms, -np.inf)
+    support (symmetric: where the supports differ) and 0 where ``p == q``.
+    When ``p`` and ``q`` are positive everywhere, every mask is a no-op and
+    is skipped; the arithmetic, and so every bit of the result, is the same.
+    """
+    positive = ref.positive and p.min(initial=1.0) > 0.0
+    if positive:
+        logp = np.log(p)
+    else:
+        support = p > 0.0
+        logp = np.log(np.where(support, p, 1.0))
+    terms = logp[..., np.newaxis, :] * ref.factors + ref.offsets
+    if not positive:
+        terms = np.where(support[..., np.newaxis, :], terms, -np.inf)
+    alpha = ref.alpha
     if math.isinf(alpha):
         total = terms.max(axis=-1)
     else:
@@ -130,11 +182,20 @@ def _renyi_arrays(p: np.ndarray, q: np.ndarray, alpha: float,
         sums = np.exp(terms - shift).sum(axis=-1)
         logs = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)
         total = (shift[..., 0] + logs.reshape(sums.shape)) / (alpha - 1.0)
-    result = np.maximum(total.max(axis=0), 0.0)
-    missing = support != covered if symmetric else support & ~covered
-    result[np.any(missing, axis=-1)] = math.inf
-    result[np.all(p == q, axis=-1)] = 0.0
+    result = total.max(axis=-1, initial=0.0)
+    if not positive:
+        missing = support != ref.covered if ref.symmetric else support & ~ref.covered
+        result[missing.any(axis=-1)] = math.inf
+    result[(p == ref.probs).all(axis=-1)] = 0.0
     return result
+
+
+def _renyi_arrays(p: np.ndarray, q: np.ndarray, alpha: float,
+                  symmetric: bool = False) -> np.ndarray:
+    """Row-wise ``D(p || q)`` over normalized ``(V,)`` or ``(k, V)`` arrays
+    that broadcast together: both steps of the kernel in one call."""
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
+    return _renyi_prepared(p, _prepare_reference(q, alpha, symmetric))
 
 
 def renyi_divergence(p, q, alpha) -> float:

@@ -11,6 +11,17 @@ with each row against its own query's reference.  A row feasible at weight
 the default tolerance) and returns its bracket's lower endpoint, which
 starts at ``p0`` itself and moves only to weights verified feasible by the
 kernel the membership check also uses.
+
+The search prepares each reference's logarithms once, then takes its
+halvings in rounds: one kernel call evaluates the next ``L`` halvings of
+every searching row at the ``2**L - 1`` interior dyadic points of its
+bracket, and the round replays those halvings from the verdicts, each
+keeping the half that its midpoint's verdict picks.  So every row takes the
+sequential bisection's walk, point for point, even where rounding makes
+feasibility non-monotone.  ``L`` is the largest that keeps a round within
+``ROUND_MIXTURES`` mixtures: 4 for a three-row subset, and 1 from 22 rows
+up, as in an evaluation block.  Halvings past the 53rd, which only
+tolerances below ``2**-53`` reach, run one per call, as ``0.5 * (lo + hi)``.
 """
 
 from __future__ import annotations
@@ -21,11 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import _check_radius
-from .divergence import (NORMALIZATION_ATOL, Distribution, _as_probs, _matched, _renyi_arrays,
-                         check_order)
+from .divergence import (NORMALIZATION_ATOL, Distribution, _as_probs, _matched,
+                         _prepare_reference, _renyi_arrays, _renyi_prepared, check_order)
 
 DEFAULT_LAMBDA_TOL = 1e-6
 MAX_BISECTION_STEPS = 100
+# A round evaluates the next L halvings of every searching row in one kernel
+# call, at the 2**L - 1 interior dyadic points of its bracket; L is the
+# largest that keeps a round within this many mixtures, and at least 1.
+ROUND_MIXTURES = 64
+# Midpoints of the first 53 halvings are exact dyadics; later ones may
+# round, so the search takes them one at a time, as 0.5 * (lo + hi).
+EXACT_STEPS = 53
 
 
 @dataclass(frozen=True)
@@ -101,28 +119,48 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
     if not shared:
         _check_rows(refs, "references")
 
-    def feasible(stack: np.ndarray, ref: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        mixtures = _mix_arrays(stack, ref, lam[:, np.newaxis])
+    def feasible(mixtures: np.ndarray, ref) -> np.ndarray:
         if b == 0.0:
             # a divergence below float precision rounds to 0, so at radius 0
             # only the reference itself is inside the ball
-            return np.all(mixtures == ref, axis=1)
-        return _renyi_arrays(mixtures, ref, a, symmetric=True) <= b * a
+            return np.all(mixtures == ref.probs, axis=-1)
+        return _renyi_prepared(mixtures, ref) <= b * a
 
+    # mixtures are (row, point, V) stacks; a per-row reference gets a point axis
+    ref = _prepare_reference(refs if shared else refs[:, np.newaxis, :], a, symmetric=True)
+    search = ~feasible(rows[:, np.newaxis, :], ref)[:, 0]
     weights = np.ones(rows.shape[0])
-    search = ~feasible(rows, refs, weights)
     if search.any():
-        rows = rows[search]
-        if refs.ndim == 2:
-            refs = refs[search]
-        lo, hi = np.zeros(rows.shape[0]), np.ones(rows.shape[0])
-        for step in range(MAX_BISECTION_STEPS):
-            if 0.5**step <= tol:  # every row's hi - lo, exactly: the endpoints stay dyadic
-                break
+        rows, ref = rows[search, np.newaxis, :], ref.take(search)
+        n = rows.shape[0]
+        steps = next((s for s in range(MAX_BISECTION_STEPS) if 0.5**s <= tol),
+                     MAX_BISECTION_STEPS)
+        exact = min(steps, EXACT_STEPS)
+        level = max(1, (ROUND_MIXTURES // n + 1).bit_length() - 1)
+        # lo starts at p0 itself and moves only to points verified feasible;
+        # hi - lo is 2**-done for every row
+        lo, done = np.zeros(n), 0
+        while done < exact:
+            taken = min(level, exact - done)
+            unit = 0.5 ** (done + taken)
+            points = lo[:, np.newaxis] + unit * np.arange(1.0, 1 << taken)
+            ok = feasible(_mix_arrays(rows, ref.probs, points[..., np.newaxis]), ref)
+            # replay the round's halvings: each keeps the half its midpoint's
+            # verdict picks, so the walk is the sequential one point for point
+            widths = [1 << d for d in reversed(range(taken))]
+            at = []
+            for verdicts in ok.tolist():
+                i = 0
+                for width in widths:
+                    if verdicts[i + width - 1]:
+                        i += width
+                at.append(i)
+            lo, done = lo + unit * np.array(at), done + taken
+        hi = lo + 0.5**done
+        for _ in range(done, steps):
             mid = 0.5 * (lo + hi)
-            ok = feasible(rows, refs, mid)
-            lo = np.where(ok, mid, lo)  # lo stays feasible: it starts at p0 itself
-            hi = np.where(ok, hi, mid)
+            ok = feasible(_mix_arrays(rows, ref.probs, mid[:, np.newaxis, np.newaxis]), ref)[:, 0]
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
         weights[search] = lo
     return weights
 

@@ -28,6 +28,7 @@ from .accounting import (
     BudgetExhaustedError,
     EpsMode,
     PrivacyParams,
+    check_nonnegative_int,
 )
 from .divergence import Distribution
 from .mollifier import _mix_arrays, solve_lambdas
@@ -76,13 +77,13 @@ class PredictionSession:
             raise ValueError(
                 f"ensemble has {len(ensemble)} models but params.N = {params.N}"
             )
+        self.rng_seed = check_nonnegative_int(seed, "seed")
         self.ensemble = list(ensemble)
         self.public_model = public_model
         self.accountant = Accountant(params, mode)
         self.params, self.mode = params, mode
         self.beta_star = self.accountant.beta_star
         self.ledger = AccountantLedger(params, self.accountant.per_query_eps)
-        self.rng_seed = int(seed)
         self.rng = np.random.default_rng(self.rng_seed)
 
     def _answer(self, queries: Sequence[Sequence[int]]):
@@ -110,8 +111,8 @@ class PredictionSession:
             rows = np.array([self.ensemble[m].distribution(queries[i]).probs
                              for i, m in zip(owners.tolist(), members.tolist())])
             refs = released[owners]
-            # one query's rows share a reference: pass it once, so the
-            # bisection takes its logarithms once instead of once per row
+            # one query's rows share a reference: pass it once, so the search
+            # prepares its logarithms once for every row and every round
             lams = solve_lambdas(rows, publics[0] if b == 1 else refs,
                                  self.params.alpha, self.beta_star)
             projected = _mix_arrays(rows, refs, lams[:, np.newaxis])

@@ -114,6 +114,15 @@ class TestTrainAndPredict:
             assert "usage" in captured.err and "--steps" in captured.err
             assert captured.out == ""
 
+    def test_predict_negative_seed_is_a_usage_error(self, snapshot, capsys):
+        code = main(["predict", "--snapshot", str(snapshot), "--context", "v1",
+                     "--queries", "4", "--q", "0.5", "--seed", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err
+        assert "seed must be a nonnegative integer, got -1" in captured.err
+        assert captured.out == ""
+
     def test_predict_reads_input_file(self, snapshot, capsys, tmp_path):
         contexts = tmp_path / "contexts.txt"
         contexts.write_text("v1 v2\nv3\n", encoding="utf-8")

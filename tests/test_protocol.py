@@ -83,6 +83,19 @@ class TestSession:
         with pytest.raises(ValueError):
             table_session([Distribution([0.25] * 4)] * 3, [0.25] * 4, params, vocab)
 
+    @pytest.mark.parametrize("seed", [3.5, -1, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, vocab, seed):
+        params = PrivacyParams(1.0, 1e-5, 8, 3, 1.0, 2)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            table_session([Distribution([0.25] * 4)] * 2, [0.25] * 4, params, vocab, seed=seed)
+
+    def test_integral_float_seed_is_the_int_seed(self, vocab):
+        params = PrivacyParams(1.0, 1e-5, 8, 3, 0.5, 2)
+        sessions = [table_session([Distribution([0.25] * 4)] * 2, [0.25] * 4, params, vocab,
+                                  seed=seed) for seed in (3, 3.0)]
+        assert sessions[1].rng_seed == 3 and type(sessions[1].rng_seed) is int
+        assert sessions[0].rng.random(4).tolist() == sessions[1].rng.random(4).tolist()
+
     def test_empty_subset_releases_public_exactly(self, vocab):
         params = PrivacyParams(1.0, 1e-5, 64, 3, 1e-9, 2)
         session = table_session(

@@ -1,13 +1,17 @@
 """Properties of the batched projection against the per-member scalar oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmixed.mollifier as mollifier
+from oracles.masked_renyi import renyi_rows
 from oracles.scalar_bisection import scalar_lambda, symmetric
 from pmixed import Distribution, mix, mollifier_membership, solve_lambdas
-from pmixed.divergence import _renyi_arrays
+from pmixed.divergence import _prepare_reference, _renyi_arrays, _renyi_prepared
 
 TOL = 1e-6
 
@@ -149,3 +153,106 @@ def test_rejects_rows_that_are_not_distributions(row):
 
 def test_empty_stack_gives_no_weights():
     assert solve_lambdas(np.empty((0, 4)), np.full(4, 0.25), 2, 0.1).shape == (0,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.data())
+def test_prepared_reference_matches_the_kernel_on_mixtures(instance, data):
+    """A reference prepared once and evaluated on a (row, point, V) stack of
+    mixtures gives each mixture's own kernel call and the masked one-pass
+    oracle bit for bit, on the all-positive path and on the masked one."""
+    rows, p0, _, _ = instance
+    k, size = rows.shape
+    alpha = data.draw(st.one_of(st.floats(1.2, 8.0), st.just(math.inf)))
+    both_directions = data.draw(st.booleans())
+    rows = rows.copy()
+    zeroed = data.draw(st.lists(st.integers(0, size - 1), max_size=size - 1))
+    rows[:, zeroed] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    shared = data.draw(st.booleans())
+    if shared:
+        refs = np.tile(p0.probs, (k, 1))
+    else:
+        refs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).dirichlet(
+            np.ones(size), size=k)
+    missed = data.draw(st.lists(st.integers(0, size - 1), max_size=size - 1))
+    refs[:, missed] = 0.0
+    refs /= refs.sum(axis=1, keepdims=True)
+    rows[0] = refs[0]  # a row equal to its reference is exactly 0 away
+    lams = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)))
+    lam = lams[np.newaxis, :, np.newaxis]
+    mixtures = lam * rows[:, np.newaxis, :] + (1.0 - lam) * refs[:, np.newaxis, :]
+    ref = _prepare_reference(refs[0] if shared else refs[:, np.newaxis, :], alpha,
+                             both_directions)
+    batched = _renyi_prepared(mixtures, ref)
+    for i in range(k):
+        for j, mixture in enumerate(mixtures[i]):
+            one = _renyi_arrays(mixture, refs[i], alpha, symmetric=both_directions)[0]
+            oracle = renyi_rows(mixture, refs[i], alpha, symmetric=both_directions)[0]
+            assert batched[i, j] == one == oracle
+    assert np.all(batched[0][lams == 1.0] == 0.0)
+
+
+def _full_support_stack(seed, k, size=12):
+    rng = np.random.default_rng(seed)
+    rows = np.maximum(rng.dirichlet(np.full(size, 0.5), size=k), 1e-12)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows, Distribution(rng.dirichlet(np.ones(size))), rng.dirichlet(np.ones(size), size=k)
+
+
+def _scalar_weights(rows, refs, alpha, beta, tol):
+    return [scalar_lambda(row, ref, alpha, beta, tol) for row, ref in zip(rows, refs)]
+
+
+# every row count at which a round's number of halvings changes, and one past it
+ROUND_SIZE_ROWS = sorted({1, 2, 3, 5, 9, 21, 22, 64, 65, 151}
+                         | {mollifier.ROUND_MIXTURES // (2**level - 1) + extra
+                            for level in range(1, 8) for extra in (0, 1)} - {0})
+
+
+@pytest.mark.parametrize("k", ROUND_SIZE_ROWS)
+def test_row_counts_across_round_sizes_match_scalar_bisection(k):
+    rows, p0, refs = _full_support_stack(k, k)
+    shared = np.broadcast_to(p0.probs, rows.shape)
+    assert solve_lambdas(rows, p0, 3, 0.02).tolist() == _scalar_weights(rows, shared, 3, 0.02, TOL)
+    assert solve_lambdas(rows, refs, 3, 0.02).tolist() == _scalar_weights(rows, refs, 3, 0.02, TOL)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.3, 1.0, 1e-300])
+@pytest.mark.parametrize("k", [1, 3, 22])
+def test_step_counts_that_rounds_do_not_divide_match_scalar_bisection(k, tol):
+    """tol 1e-6 takes 20 halvings, 0.3 takes 2, 1.0 none, and 1e-300 the cap of
+    100, whose midpoints past the 53rd may round."""
+    rows, p0, refs = _full_support_stack(100 + k, k)
+    for beta in (0.3, 0.002):
+        for ref in (p0, refs):
+            per_row = refs if ref is refs else np.broadcast_to(p0.probs, rows.shape)
+            assert solve_lambdas(rows, ref, 4, beta, tol).tolist() \
+                == _scalar_weights(rows, per_row, 4, beta, tol)
+
+
+@pytest.mark.parametrize("k", [1, 3, 9, 22, 65])
+def test_zero_radius_keeps_only_rows_equal_to_their_reference(k):
+    rows, p0, refs = _full_support_stack(200 + k, k)
+    rows[0] = p0.probs
+    refs[-1] = rows[-1]
+    assert solve_lambdas(rows, p0, 3, 0.0).tolist() == [1.0] + [0.0] * (k - 1)
+    assert solve_lambdas(rows, refs, 3, 0.0).tolist() == [0.0] * (k - 1) + [1.0]
+
+
+def test_three_row_search_takes_at_most_eight_kernel_calls(monkeypatch):
+    """One call at weight 1, then rounds of several halvings each: at most 8
+    kernel calls for the 20 halvings of tol 1e-6, where one halving per call
+    would make 21."""
+    calls = []
+    kernel = mollifier._renyi_prepared
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(mollifier, "_renyi_prepared", counted)
+    rows, p0, _ = _full_support_stack(3, 3)
+    weights = solve_lambdas(rows, p0, 3, 0.02, 1e-6)
+    assert np.all((0.0 < weights) & (weights < 1.0))  # every row searched
+    assert 2 <= len(calls) <= 8

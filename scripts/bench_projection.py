@@ -15,6 +15,8 @@ repeats of the microseconds per solve, and a digest of every returned
 weight, which a change that only makes the search faster must not move.
 
 Usage: python scripts/bench_projection.py [--repeats R] [--seed S]
+Run it from the repository root: the fixture config names its corpora by
+paths relative to it.
 """
 
 import argparse

@@ -13,19 +13,20 @@ starts at ``p0`` itself and moves only to weights verified feasible by the
 kernel the membership check also uses.
 
 The search prepares each reference's logarithms once, then takes its
-halvings in rounds: one kernel call evaluates the next ``L`` halvings of
-every searching row at the ``2**L - 1`` interior dyadic points of its
-bracket, and the round replays those halvings from the verdicts, each
+halvings in rounds: one kernel call evaluates, for every searching row, the
+``2**L - 1`` midpoints that its next ``L`` halvings can visit, built as a
+tree from the row's bracket with each node ``0.5 * (lo + hi)`` of the bracket
+it halves.  The round then replays those halvings from the verdicts, each
 keeping the half that its midpoint's verdict picks.  So every row takes the
-sequential bisection's walk, point for point, even where rounding makes
-feasibility non-monotone.  ``L`` is the largest that keeps a round within
-``ROUND_MIXTURES`` mixtures: 4 for a three-row subset, and 1 from 22 rows
-up, as in an evaluation block.  Halvings past the 53rd, which only
-tolerances below ``2**-53`` reach, run one per call, as ``0.5 * (lo + hi)``.
+sequential bisection's walk, bit for bit, at any step count and even where
+rounding makes feasibility non-monotone.  ``L`` is the largest that keeps a
+round within ``ROUND_MIXTURES`` mixtures: 4 for a three-row subset, and 1
+from 22 rows up, as in an evaluation block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,12 +39,9 @@ from .divergence import (NORMALIZATION_ATOL, Distribution, _as_probs, _matched,
 DEFAULT_LAMBDA_TOL = 1e-6
 MAX_BISECTION_STEPS = 100
 # A round evaluates the next L halvings of every searching row in one kernel
-# call, at the 2**L - 1 interior dyadic points of its bracket; L is the
-# largest that keeps a round within this many mixtures, and at least 1.
+# call, at the 2**L - 1 midpoints those halvings can visit; L is the largest
+# that keeps a round within this many mixtures, and at least 1.
 ROUND_MIXTURES = 64
-# Midpoints of the first 53 halvings are exact dyadics; later ones may
-# round, so the search takes them one at a time, as 0.5 * (lo + hi).
-EXACT_STEPS = 53
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,18 @@ def _check_rows(rows: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative and sum to 1 within {NORMALIZATION_ATOL}")
 
 
+@functools.cache
+def _walks(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The walks of ``levels`` halvings through a round's midpoint tree: for
+    each of the ``2**levels`` brackets a walk can end in, the columns of the
+    midpoints it visits, one per halving, and whether it keeps the upper
+    half at each."""
+    widths = 2 << np.arange(levels)
+    ends = np.arange(1 << levels)[:, np.newaxis]
+    nodes = ends // widths * widths + widths // 2
+    return nodes - 1, ends >= nodes
+
+
 def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.ndarray:
     """One weight per row of ``P``: the largest, within ``tol``, whose mixture
     with its reference stays within ``beta * alpha`` at finite order ``alpha``.
@@ -135,32 +145,25 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
         n = rows.shape[0]
         steps = next((s for s in range(MAX_BISECTION_STEPS) if 0.5**s <= tol),
                      MAX_BISECTION_STEPS)
-        exact = min(steps, EXACT_STEPS)
         level = max(1, (ROUND_MIXTURES // n + 1).bit_length() - 1)
-        # lo starts at p0 itself and moves only to points verified feasible;
-        # hi - lo is 2**-done for every row
-        lo, done = np.zeros(n), 0
-        while done < exact:
-            taken = min(level, exact - done)
-            unit = 0.5 ** (done + taken)
-            points = lo[:, np.newaxis] + unit * np.arange(1.0, 1 << taken)
-            ok = feasible(_mix_arrays(rows, ref.probs, points[..., np.newaxis]), ref)
-            # replay the round's halvings: each keeps the half its midpoint's
-            # verdict picks, so the walk is the sequential one point for point
-            widths = [1 << d for d in reversed(range(taken))]
-            at = []
-            for verdicts in ok.tolist():
-                i = 0
-                for width in widths:
-                    if verdicts[i + width - 1]:
-                        i += width
-                at.append(i)
-            lo, done = lo + unit * np.array(at), done + taken
-        hi = lo + 0.5**done
-        for _ in range(done, steps):
-            mid = 0.5 * (lo + hi)
-            ok = feasible(_mix_arrays(rows, ref.probs, mid[:, np.newaxis, np.newaxis]), ref)[:, 0]
-            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        # lo starts at p0 itself and moves only to points verified feasible
+        lo, hi, at = np.zeros(n), np.ones(n), np.arange(n)
+        for done in range(0, steps, level):
+            taken = min(level, steps - done)
+            # the round's midpoint tree, one row per node in bracket order:
+            # each node is 0.5 * (lo + hi) of the bracket it halves, as the
+            # sequential bisection computes it
+            tree = np.empty(((1 << taken) + 1, n))
+            tree[0], tree[-1] = lo, hi
+            for d in reversed(range(taken)):
+                w = 2 << d
+                tree[w // 2::w] = 0.5 * (tree[:-1:w] + tree[w::w])
+            ok = feasible(_mix_arrays(rows, ref.probs, tree[1:-1].T[..., np.newaxis]), ref)
+            # replay the round's halvings: the walk ends in the one bracket
+            # whose every midpoint's verdict keeps the half that holds it
+            nodes, upper = _walks(taken)
+            i = np.all(ok[:, nodes] == upper, axis=-1).argmax(axis=1)
+            lo, hi = tree[i, at], tree[i + 1, at]
         weights[search] = lo
     return weights
 

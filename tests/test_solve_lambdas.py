@@ -231,6 +231,43 @@ def test_step_counts_that_rounds_do_not_divide_match_scalar_bisection(k, tol):
                 == _scalar_weights(rows, per_row, 4, beta, tol)
 
 
+def _coin(mixtures):
+    """A verdict per mixture that only the mixture's bits decide: 0 or inf
+    at random, so feasibility is far from monotone in the weight."""
+    bits = np.ascontiguousarray(mixtures).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return np.where(bits.sum(axis=-1) >> np.uint64(63), np.inf, 0.0)
+
+
+def _coin_bisection(p, q, steps):
+    """The sequential bisection, one halving per verdict, under ``_coin``."""
+    if _coin(p) == 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if _coin(mid * p + (1.0 - mid) * q) == 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-300])
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 22])
+def test_rounds_walk_the_sequential_bisection_under_any_verdicts(monkeypatch, k, tol):
+    """With verdicts that are random per mixture, each round's midpoints and
+    replay must still give the one-halving-per-call walk bit for bit, also
+    past the 53rd halving, where midpoints round and repeat."""
+    monkeypatch.setattr(mollifier, "_renyi_prepared", lambda mixtures, ref: _coin(mixtures))
+    steps = 20 if tol == 1e-6 else mollifier.MAX_BISECTION_STEPS
+    for seed in range(20):
+        rows, p0, refs = _full_support_stack(300 + seed, k)
+        assert solve_lambdas(rows, p0, 3, 0.02, tol).tolist() \
+            == [_coin_bisection(row, p0.probs, steps) for row in rows]
+        assert solve_lambdas(rows, refs, 3, 0.02, tol).tolist() \
+            == [_coin_bisection(row, ref, steps) for row, ref in zip(rows, refs)]
+
+
 @pytest.mark.parametrize("k", [1, 3, 9, 22, 65])
 def test_zero_radius_keeps_only_rows_equal_to_their_reference(k):
     rows, p0, refs = _full_support_stack(200 + k, k)

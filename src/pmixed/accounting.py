@@ -4,8 +4,8 @@ The accounting pipeline, in the order a session uses it:
 
 1. ``solve_beta_star`` picks the largest mollifier radius whose amplified
    per-query loss fits the per-query budget ``eps_g / T``.
-2. ``subsampled_eps`` evaluates the Poisson-subsampling amplification of the
-   per-query loss at that radius; this value is charged per answered query.
+2. ``amplified_eps``, the Poisson-subsampling amplification of the per-query
+   loss at a radius, is the search's constraint and, at its radius, the charge.
 3. ``Accountant`` runs steps 1 and 2 once for a parameter set and a mode,
    composes the per-query charge over the ``T`` interaction rounds
    (``T * per_query_eps``), and converts the composed Renyi guarantee into
@@ -83,16 +83,23 @@ def check_nonnegative_int(value, name: str) -> int:
     return count
 
 
-def check_budget(eps_g) -> None:
-    """Validate a global privacy budget: a positive number of nats."""
-    if not eps_g > 0.0:
-        raise ValueError(f"eps_g must be positive, got {eps_g!r}")
+def check_positive(value, name: str) -> None:
+    """Validate a positive number, such as a budget ``eps_g`` or a search tolerance."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def check_probability(value, name: str, *, allow_one: bool) -> None:
     """Validate a probability in (0, 1], or in (0, 1) when ``allow_one`` is false."""
     if not (0.0 < value <= 1.0 if allow_one else 0.0 < value < 1.0):
         raise ValueError(f"{name} must lie in (0, 1{']' if allow_one else ')'}, got {value!r}")
+
+
+def _check_budget_args(N, eps_g, T) -> None:
+    """Validate the ensemble size, global budget and query count of a radius bound."""
+    check_positive_int(N, "ensemble size")
+    check_positive(eps_g, "eps_g")
+    check_positive_int(T, "T")
 
 
 def _check_radius(beta) -> float:
@@ -131,7 +138,7 @@ class PrivacyParams:
     N: int
 
     def __post_init__(self):
-        check_budget(self.eps_g)
+        check_positive(self.eps_g, "eps_g")
         check_probability(self.delta, "delta", allow_one=False)
         object.__setattr__(self, "T", check_positive_int(self.T, "T"))
         object.__setattr__(self, "alpha", check_integer_order(self.alpha))
@@ -148,9 +155,7 @@ def beta_max(N: int, eps_g: float, T: int, alpha: int) -> float:
     least 1, so the result is nonnegative.
     """
     a = check_integer_order(alpha)
-    check_positive_int(N, "ensemble size")
-    check_budget(eps_g)
-    check_positive_int(T, "T")
+    _check_budget_args(N, eps_g, T)
     if N == 1:
         return eps_g / (T * a)
     return _log1p_scaled_expm1(float(N), (a - 1) * eps_g / T) / (4.0 * (a - 1) * a)
@@ -237,6 +242,13 @@ def subsampled_eps(q: float, alpha: int, eps_fn) -> float:
     return max(total / (a - 1), 0.0)
 
 
+def amplified_eps(params: PrivacyParams, beta: float, mode: EpsMode) -> float:
+    """The per-query charge at radius ``beta``: the Poisson-``q`` amplification
+    of the mode's per-query loss at every order up to ``params.alpha``."""
+    return subsampled_eps(params.q, params.alpha,
+                          lambda k: base_eps_for_order(beta, k, params.N, mode))
+
+
 def solve_beta_star(
     params: PrivacyParams,
     mode: EpsMode = EpsMode.CONSERVATIVE,
@@ -249,21 +261,12 @@ def solve_beta_star(
     throughout, so the returned radius never overspends the budget.  ``tol``
     bounds the slack left on the loss constraint at the returned radius.
     """
-    if not float(tol) > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    check_positive(tol, "tolerance")
     target = params.eps_g / params.T
-
-    def amplified(beta: float) -> float:
-        return subsampled_eps(
-            params.q,
-            params.alpha,
-            lambda k: base_eps_for_order(beta, k, params.N, mode),
-        )
-
     lo, lo_val = 0.0, 0.0
     hi = 1.0
     for _ in range(200):
-        hi_val = amplified(hi)
+        hi_val = amplified_eps(params, hi, mode)
         if hi_val > target:
             break
         lo, lo_val = hi, hi_val
@@ -275,7 +278,7 @@ def solve_beta_star(
         if target - lo_val <= tol and hi - lo <= 1e-12 * max(hi, 1.0):
             break
         mid = 0.5 * (lo + hi)
-        mid_val = amplified(mid)
+        mid_val = amplified_eps(params, mid, mode)
         if mid_val <= target:
             lo, lo_val = mid, mid_val
         else:
@@ -294,12 +297,10 @@ def rdp_to_dp(alpha: int, eps: float, delta: float) -> float:
 
 def _check_max_order_args(N, eps_g, T, alpha) -> float:
     """Validate the max-divergence radius arguments; returns the order as a float."""
-    check_positive_int(N, "ensemble size")
+    _check_budget_args(N, eps_g, T)
     a = float(alpha)
     if not a > 1.0:
         raise ValueError(f"order must be > 1, got {alpha!r}")
-    check_budget(eps_g)
-    check_positive_int(T, "T")
     return a
 
 
@@ -389,9 +390,7 @@ class Accountant:
     def __post_init__(self):
         p, mode = self.params, self.mode
         beta_star = solve_beta_star(p, mode)
-        per_query = subsampled_eps(
-            p.q, p.alpha, lambda k: base_eps_for_order(beta_star, k, p.N, mode)
-        )
+        per_query = amplified_eps(p, beta_star, mode)
         composed = p.T * per_query
         object.__setattr__(self, "beta_star", beta_star)
         object.__setattr__(self, "per_query_eps", per_query)

@@ -43,14 +43,7 @@ class Distribution:
             raise ValueError(f"probability vector must be 1-D, got shape {arr.shape}")
         if arr.size < 2:
             raise ValueError("vocabulary must contain at least 2 tokens")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValueError("probabilities must be finite and nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_ATOL:
-            raise ValueError(
-                f"probabilities sum to {total!r}, not 1 within {NORMALIZATION_ATOL}"
-            )
-        arr = arr / total
+        arr = arr / float(check_probabilities(arr, "probabilities"))
         arr.flags.writeable = False
         self._probs = arr
 
@@ -89,6 +82,16 @@ class Distribution:
     def __repr__(self) -> str:
         body = np.array2string(self._probs, threshold=8, separator=", ")
         return f"Distribution({body})"
+
+
+def check_probabilities(rows: np.ndarray, what: str) -> np.ndarray:
+    """Validate probability rows along the last axis: nonnegative, each summing
+    to 1 within ``NORMALIZATION_ATOL``.  Returns the row sums."""
+    sums = rows.sum(axis=-1)
+    # NaN and -inf fail the sign test, +inf fails the sum test
+    if not (np.all(rows >= 0.0) and np.all(abs(sums - 1.0) <= NORMALIZATION_ATOL)):
+        raise ValueError(f"{what} must be nonnegative and sum to 1 within {NORMALIZATION_ATOL}")
+    return sums
 
 
 def check_order(alpha) -> float:
@@ -177,7 +180,7 @@ def _renyi_prepared(p: np.ndarray, ref: _Reference) -> np.ndarray:
         total = terms.max(axis=-1)
     else:
         # Max-shifted log-sum-exp keeps peaked rows representable; the last
-        # log is libm's, per row, so results do not depend on numpy's SIMD log.
+        # log is math.log per row, as in the scalar oracle, to match it bit for bit.
         shift = terms.max(axis=-1, keepdims=True)
         sums = np.exp(terms - shift).sum(axis=-1)
         logs = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .accounting import check_positive_int
+from .accounting import check_nonnegative_int, check_positive_int
 from .divergence import Distribution
 
 UNKNOWN_TOKEN = "<unk>"
@@ -293,28 +293,70 @@ def save_snapshot(path, vocab: Vocabulary, public: NGramModel,
             fh.write(json.dumps(_model_record(model, "member", i), sort_keys=True) + "\n")
 
 
+# The fields each snapshot record must have, by kind and, for models, role
+_RECORD_FIELDS = {
+    ("vocab", None): ("tokens",),
+    ("ngram", "public"): ("order", "smoothing_k", "counts"),
+    ("ngram", "member"): ("index", "order", "smoothing_k", "counts"),
+}
+
+
 def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
-    vocab = None
-    public = None
-    members: list[tuple[int, NGramModel]] = []
+    """Read a snapshot written by :func:`save_snapshot`, failing closed.
+
+    A ``ValueError`` naming the offending line refuses a record that is not
+    a vocab, public or member record, misses one of its fields or holds one
+    of the wrong type or range; a second vocab or public record, or a model
+    before the vocab; member indices other than exactly 0..N-1, in any
+    order; and members that disagree on order or ``smoothing_k``.  Count
+    values are checked when a row is first built.
+    """
+    vocab = public = None
+    members: dict[int, tuple[int, NGramModel]] = {}  # index -> (line, model)
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             record = json.loads(line)
-            if record["kind"] == "vocab":
+            where = f"snapshot line {number}"
+            kind = record.get("kind") if isinstance(record, dict) else None
+            role = record.get("role") if kind == "ngram" else None
+            fields = _RECORD_FIELDS.get((kind, role))
+            if fields is None:
+                raise ValueError(f"{where}: expected a vocab, public or member record, "
+                                 f"got kind {kind!r} and role {role!r}")
+            if missing := [name for name in fields if name not in record]:
+                raise ValueError(f"{where}: {role or kind} record misses {', '.join(missing)}")
+            if kind == "vocab":
+                if vocab is not None:
+                    raise ValueError(f"{where}: a second vocab record")
                 vocab = Vocabulary(record["tokens"])
-            elif record["kind"] == "ngram":
-                if vocab is None:
-                    raise ValueError("snapshot model record precedes the vocab record")
+                continue
+            if vocab is None:
+                raise ValueError(f"{where}: model record precedes the vocab record")
+            try:
                 model = _model_from_record(record, vocab)
-                if record["role"] == "public":
-                    public = model
-                else:
-                    members.append((record["index"], model))
-            else:
-                raise ValueError(f"unknown snapshot record kind {record['kind']!r}")
+            except (TypeError, ValueError) as err:  # a field of the wrong type or range
+                raise ValueError(f"{where}: {err}") from None
+            if role == "public":
+                if public is not None:
+                    raise ValueError(f"{where}: a second public record")
+                public = model
+                continue
+            index = check_nonnegative_int(record["index"], f"{where}: member index")
+            if index in members:
+                raise ValueError(f"{where}: member index {index} repeats line {members[index][0]}")
+            if members:
+                first_line, first = next(iter(members.values()))
+                if (model.order, model.smoothing_k) != (first.order, first.smoothing_k):
+                    raise ValueError(f"{where}: member of order {model.order} and smoothing_k "
+                                     f"{model.smoothing_k} differs from line {first_line}'s "
+                                     f"{first.order} and {first.smoothing_k}")
+            members[index] = (number, model)
     if vocab is None or public is None:
         raise ValueError("snapshot is missing the vocab or public model record")
-    members.sort(key=lambda pair: pair[0])
-    return vocab, public, [model for _, model in members]
+    # distinct nonnegative indices are exactly 0..N-1 when the largest is N-1
+    if members and (last := max(members)) != len(members) - 1:
+        raise ValueError(f"snapshot line {members[last][0]}: member index {last} is outside "
+                         f"0..{len(members) - 1} for {len(members)} members")
+    return vocab, public, [members[i][1] for i in range(len(members))]

@@ -1,16 +1,17 @@
 """Projection of private distributions toward a public reference.
 
-The projection moves along the mixing path ``lam * p + (1 - lam) * p0`` and
-keeps the largest mixing weight for which the symmetric Renyi divergence
-from the public distribution stays within the ball of radius
-``beta * alpha``.  The constraint is monotone in the weight, so one
-bisection over a ``(k, V)`` stack finds every row's weight.  The stack is a
-query's whole subset, or every (query, member) pair of an evaluation block
-with each row against its own query's reference.  A row feasible at weight
-1 keeps it; every other row runs the same fixed number of halvings (20 at
-the default tolerance) and returns its bracket's lower endpoint, which
-starts at ``p0`` itself and moves only to weights verified feasible by the
-kernel the membership check also uses.
+The ball of radius ``beta`` around the public distribution ``p0`` (the
+RD-mollifier set) holds what is within symmetric Renyi divergence
+``beta * alpha`` of ``p0``, and at radius 0 only ``p0`` itself.  Its one
+definition, ``_in_ball``, serves the search and ``mollifier_membership``.
+The projection keeps the largest weight whose mixture
+``lam * p + (1 - lam) * p0`` is in the ball.  The constraint is monotone in
+the weight, so one bisection over a ``(k, V)`` stack finds every row's
+weight.  The stack is a query's whole subset, or every (query, member) pair
+of an evaluation block with each row against its own query's reference.  A
+row in the ball at weight 1 keeps it; every other row runs the same fixed
+number of halvings (20 at the default tolerance) and returns its bracket's
+lower endpoint, which starts at ``p0`` and moves only to accepted weights.
 
 The search prepares each reference's logarithms once, then takes its
 halvings in rounds: one kernel call evaluates, for every searching row, the
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import _check_radius
-from .divergence import (NORMALIZATION_ATOL, Distribution, _as_probs, _matched,
-                         _prepare_reference, _renyi_arrays, _renyi_prepared, check_order)
+from .accounting import _check_radius, check_positive
+from .divergence import (Distribution, _as_probs, _matched, _prepare_reference, _Reference,
+                         _renyi_prepared, check_order, check_probabilities)
 
 DEFAULT_LAMBDA_TOL = 1e-6
 MAX_BISECTION_STEPS = 100
@@ -75,18 +76,22 @@ def mix(p, p0, lam) -> Distribution:
     return Distribution._already_normalized(_mix_arrays(pa, qa, lam))
 
 
+def _in_ball(mixtures: np.ndarray, ref: _Reference, beta: float) -> np.ndarray:
+    """The RD-mollifier set: whether each ``(..., V)`` mixture is within symmetric
+    divergence ``beta * alpha`` of ``ref``.  A divergence below float precision
+    rounds to 0, so at radius 0 only the reference itself, bit for bit, is in."""
+    if beta == 0.0:
+        return np.all(mixtures == ref.probs, axis=-1)
+    return _renyi_prepared(mixtures, ref) <= beta * ref.alpha
+
+
 def mollifier_membership(pbar, p0, alpha, beta) -> bool:
-    """Whether ``pbar`` lies within symmetric divergence ``beta * alpha`` of ``p0``."""
+    """Whether ``pbar`` lies in the ball of radius ``beta`` around ``p0``: within
+    symmetric divergence ``beta * alpha``, or equal to ``p0`` at radius 0."""
     a = _check_finite_order(alpha)
     b = _check_radius(beta)
     pa, qa = _matched(pbar, p0)
-    return bool(_renyi_arrays(pa, qa, a, symmetric=True)[0] <= b * a)
-
-
-def _check_rows(rows: np.ndarray, what: str) -> None:
-    # NaN and -inf fail the sign test, +inf fails the sum test
-    if not (np.all(rows >= 0.0) and np.all(abs(rows.sum(axis=1) - 1.0) <= NORMALIZATION_ATOL)):
-        raise ValueError(f"{what} must be nonnegative and sum to 1 within {NORMALIZATION_ATOL}")
+    return bool(_in_ball(pa[np.newaxis, :], _prepare_reference(qa, a, symmetric=True), b)[0])
 
 
 @functools.cache
@@ -114,8 +119,7 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
     """
     a = _check_finite_order(alpha)
     b = _check_radius(beta)
-    if not float(tol) > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    check_positive(tol, "tolerance")
     rows = np.asarray(P, dtype=np.float64)
     shared = isinstance(p0, Distribution) or np.ndim(p0) == 1
     refs = _as_probs(p0) if shared else np.asarray(p0, dtype=np.float64)
@@ -125,20 +129,12 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
     if rows.ndim != 2 or rows.shape[1] != refs.shape[-1]:
         raise ValueError(f"expected a (k, V) stack of rows over the reference's V tokens, "
                          f"got shape {rows.shape}")
-    _check_rows(rows, "rows")
+    check_probabilities(rows, "rows")
     if not shared:
-        _check_rows(refs, "references")
-
-    def feasible(mixtures: np.ndarray, ref) -> np.ndarray:
-        if b == 0.0:
-            # a divergence below float precision rounds to 0, so at radius 0
-            # only the reference itself is inside the ball
-            return np.all(mixtures == ref.probs, axis=-1)
-        return _renyi_prepared(mixtures, ref) <= b * a
-
+        check_probabilities(refs, "references")
     # mixtures are (row, point, V) stacks; a per-row reference gets a point axis
     ref = _prepare_reference(refs if shared else refs[:, np.newaxis, :], a, symmetric=True)
-    search = ~feasible(rows[:, np.newaxis, :], ref)[:, 0]
+    search = ~_in_ball(rows[:, np.newaxis, :], ref, b)[:, 0]
     weights = np.ones(rows.shape[0])
     if search.any():
         rows, ref = rows[search, np.newaxis, :], ref.take(search)
@@ -158,7 +154,7 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
             for d in reversed(range(taken)):
                 w = 2 << d
                 tree[w // 2::w] = 0.5 * (tree[:-1:w] + tree[w::w])
-            ok = feasible(_mix_arrays(rows, ref.probs, tree[1:-1].T[..., np.newaxis]), ref)
+            ok = _in_ball(_mix_arrays(rows, ref.probs, tree[1:-1].T[..., np.newaxis]), ref, b)
             # replay the round's halvings: the walk ends in the one bracket
             # whose every midpoint's verdict keeps the half that holds it
             nodes, upper = _walks(taken)

@@ -1,12 +1,13 @@
 """The private next-token prediction loop.
 
 Each answered query runs the same sequence: Poisson-subsample the ensemble,
-project every selected model's distribution toward the public model's
-distribution, average the projections, sample one token from the average,
-and charge the session ledger.  When the subsample is empty the public
-distribution is released unchanged.  One seeded generator per session draws
-``N`` subsample uniforms then one token uniform per query, so a session's
-full trace is reproducible from its seed.
+project every selected model's distribution into the ball around the public
+one (at weights the mollifier's one ball predicate accepts), average the
+projections, sample one token from the average, and charge the session
+ledger.  When the subsample is empty the public distribution is released
+unchanged.  One seeded generator per session draws ``N`` subsample uniforms
+then one token uniform per query, so a session's full trace is reproducible
+from its seed.
 
 These steps live in one place, the private answer path, which serves a
 list of queries with one draw, one bisection over every selected (query,

@@ -123,6 +123,26 @@ class TestTrainAndPredict:
         assert "seed must be a nonnegative integer, got -1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("index", None, "snapshot line 4: member record misses index"),
+        ("index", 0, "snapshot line 4: member index 0 repeats line 3"),
+    ])
+    def test_predict_malformed_snapshot_is_a_usage_error(self, snapshot, capsys, tmp_path,
+                                                         field, value, problem):
+        records = [json.loads(line) for line in snapshot.read_text().splitlines()]
+        if value is None:
+            del records[3][field]
+        else:
+            records[3][field] = value
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code = main(["predict", "--snapshot", str(broken), "--context", "v1",
+                     "--queries", "4", "--q", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {problem}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_predict_reads_input_file(self, snapshot, capsys, tmp_path):
         contexts = tmp_path / "contexts.txt"
         contexts.write_text("v1 v2\nv3\n", encoding="utf-8")

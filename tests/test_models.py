@@ -274,3 +274,99 @@ class TestSnapshot:
                         '"smoothing_k":0.1,"counts":[]}\n', encoding="utf-8")
         with pytest.raises(ValueError):
             load_snapshot(path)
+
+
+def _snapshot_records(vocab, tmp_path, orders=(2, 2, 2), ks=(0.1, 0.1, 0.1)):
+    """A three-member snapshot's records, to be edited and written back."""
+    public = train_ngram([[3, 1, 2]], 2, 0.1, vocab)
+    members = [train_ngram([[1, 2, 3]], order, k, vocab) for order, k in zip(orders, ks)]
+    path = tmp_path / "snapshot.jsonl"
+    save_snapshot(path, vocab, public, members)
+    return path, [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _write(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+class TestSnapshotRefusals:
+    """The loader fails closed: each malformed snapshot raises a ValueError
+    naming the line of the record at fault."""
+
+    @pytest.mark.parametrize("indices, line, problem", [
+        ((0, 0, 2), 4, "member index 0 repeats line 3"),
+        ((0, 5, 1), 4, "member index 5 is outside 0..2 for 3 members"),
+        ((1, 2, 3), 5, "member index 3 is outside 0..2"),
+        ((0, -1, 1), 4, "member index must be a nonnegative integer, got -1"),
+    ])
+    def test_member_indices_must_be_exactly_0_to_n_minus_1(self, vocab, tmp_path,
+                                                           indices, line, problem):
+        path, records = _snapshot_records(vocab, tmp_path)
+        for record, index in zip(records[2:], indices):
+            record["index"] = index
+        with pytest.raises(ValueError, match=f"^snapshot line {line}: {problem}"):
+            load_snapshot(_write(path, records))
+
+    def test_members_in_any_order_load_by_index(self, vocab, tmp_path):
+        path, records = _snapshot_records(vocab, tmp_path)
+        records[2]["counts"] = [[[1], [[3, 7]]]]
+        _, _, members = load_snapshot(_write(path, records[:2] + records[:1:-1]))
+        assert [m.counts for m in members] == [{(1,): {3: 7}}, {(1,): {2: 1}, (2,): {3: 1}},
+                                               {(1,): {2: 1}, (2,): {3: 1}}]
+
+    def test_exactly_one_public_record(self, vocab, tmp_path):
+        path, records = _snapshot_records(vocab, tmp_path)
+        with pytest.raises(ValueError, match="^snapshot line 6: a second public record"):
+            load_snapshot(_write(path, records + records[1:2]))
+        with pytest.raises(ValueError, match="missing the vocab or public model record"):
+            load_snapshot(_write(path, records[:1] + records[2:]))
+
+    def test_exactly_one_vocab_record(self, vocab, tmp_path):
+        path, records = _snapshot_records(vocab, tmp_path)
+        with pytest.raises(ValueError, match="^snapshot line 3: a second vocab record"):
+            load_snapshot(_write(path, records[:2] + records[:1] + records[2:]))
+
+    @pytest.mark.parametrize("role", ["private", None, 0])
+    def test_role_is_public_or_member(self, vocab, tmp_path, role):
+        path, records = _snapshot_records(vocab, tmp_path)
+        records[3]["role"] = role
+        with pytest.raises(ValueError, match="^snapshot line 4: expected a vocab, public or "
+                                             f"member record, got kind 'ngram' and role {role!r}"):
+            load_snapshot(_write(path, records))
+
+    @pytest.mark.parametrize("orders, ks", [((2, 3, 2), (0.1, 0.1, 0.1)),
+                                            ((2, 2, 2), (0.1, 0.1, 0.2))])
+    def test_members_share_order_and_smoothing(self, vocab, tmp_path, orders, ks):
+        path, records = _snapshot_records(vocab, tmp_path, orders, ks)
+        line = 4 if orders[1] == 3 else 5
+        with pytest.raises(ValueError, match=f"^snapshot line {line}: member of order "
+                                             f"{orders[line - 3]} and smoothing_k "
+                                             f"{ks[line - 3]} differs from line 3's 2 and 0.1"):
+            load_snapshot(_write(path, records))
+
+    @pytest.mark.parametrize("line, field, problem", [
+        (1, "tokens", "vocab record misses tokens"),
+        (2, "order", "public record misses order"),
+        (2, "counts", "public record misses counts"),
+        (3, "index", "member record misses index"),
+        (4, "smoothing_k", "member record misses smoothing_k"),
+        (5, "kind", "expected a vocab, public or member record, got kind None"),
+    ])
+    def test_no_record_misses_a_field(self, vocab, tmp_path, line, field, problem):
+        path, records = _snapshot_records(vocab, tmp_path)
+        del records[line - 1][field]
+        with pytest.raises(ValueError, match=f"^snapshot line {line}: {problem}"):
+            load_snapshot(_write(path, records))
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("counts", 5, "'int' object is not iterable"),
+        ("order", 0, "order must be a positive integer, got 0"),
+        ("smoothing_k", -0.1, "smoothing_k must be positive, got -0.1"),
+    ])
+    def test_a_field_of_the_wrong_type_or_range_names_its_line(self, vocab, tmp_path,
+                                                               field, value, problem):
+        path, records = _snapshot_records(vocab, tmp_path)
+        records[3][field] = value
+        with pytest.raises(ValueError, match=f"^snapshot line 4: {problem}"):
+            load_snapshot(_write(path, records))

@@ -78,6 +78,12 @@ class TestMembership:
             Distribution([1.0, 0.0]), Distribution([0.5, 0.5]), 2, 0.05
         )
 
+    def test_zero_radius_holds_only_the_reference(self):
+        # this pair's divergence rounds to 0.0, but it is not the reference
+        p0 = Distribution([0.5, 0.5])
+        assert not mollifier_membership([0.5000000000000001, 0.4999999999999999], p0, 2, 0.0)
+        assert mollifier_membership(p0, p0, 2, 0.0)
+
     def test_infinite_order_rejected(self):
         p = Distribution([0.5, 0.5])
         with pytest.raises(ValueError):

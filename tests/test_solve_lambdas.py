@@ -64,6 +64,32 @@ def test_every_released_mixture_is_inside_the_ball(instance):
         assert mollifier_membership(mix(row, p0, lam), p0, alpha, beta)
 
 
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_weights_pass_the_membership_check_at_every_radius(instance, shared, zero, seed, data):
+    """Shared and per-row references, at radius 0 and above: every returned
+    weight's mixture passes ``mollifier_membership``; at radius 0 exactly the
+    mixtures bitwise equal to their reference pass it."""
+    rows, p0, alpha, beta = instance
+    beta = 0.0 if zero else beta
+    rng = np.random.default_rng(seed)
+    refs = [p0] * len(rows) if shared else [
+        Distribution._already_normalized(r) for r in rng.dirichlet(np.ones(p0.vocab_size), len(rows))]
+    if data.draw(st.booleans()):
+        rows = rows.copy()
+        rows[0] = refs[0].probs  # a row equal to its reference keeps weight 1
+    weights = solve_lambdas(rows, p0 if shared else np.array([r.probs for r in refs]),
+                            alpha, beta, TOL)
+    for row, ref, lam in zip(rows, refs, weights):
+        row = Distribution._already_normalized(row)  # mix() as the search mixes, unscaled
+        assert mollifier_membership(mix(row, ref, lam), ref, alpha, beta)
+        if beta == 0.0:
+            assert np.array_equal(mix(row, ref, lam).probs, ref.probs)
+            other = mix(row, ref, data.draw(st.floats(0.0, 1.0)))
+            assert mollifier_membership(other, ref, alpha, 0.0) \
+                == np.array_equal(other.probs, ref.probs)
+
+
 @settings(max_examples=30, deadline=None)
 @given(instances())
 def test_row_equal_to_public_takes_full_weight(instance):

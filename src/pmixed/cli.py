@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 runtime failure (including budget refusal),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -33,38 +34,40 @@ from .experiment import (
 from .models import load_snapshot, save_snapshot
 from .protocol import PredictionSession
 
-_CONFIG_OVERRIDES = (
-    ("--private-corpus", "private_corpus_path", str),
-    ("--public-corpus", "public_corpus_path", str),
-    ("--test-corpus", "test_corpus_path", str),
-    ("--vocab", "vocab_path", str),
-    ("--order", "order", int),
-    ("--smoothing-k", "smoothing_k", float),
-    ("--eps-g", "eps_g", float),
-    ("--delta", "delta", float),
-    ("--queries", "T", int),
-    ("--alpha", "alpha", int),
-    ("--q", "q", float),
-    ("--n-models", "n_models", int),
-    ("--runs", "runs", int),
-    ("--max-seq-len", "max_seq_len", int),
-)
+# Every parameter flag: flag -> (ExperimentConfig field, type, help).  train, predict
+# and account default a flag to its field's class default, and require it if there is
+# none; compare and sweep default it to None, so only a given flag overrides the config.
+_FLAGS = {
+    "--private-corpus": ("private_corpus_path", str, None),
+    "--public-corpus": ("public_corpus_path", str, None),
+    "--test-corpus": ("test_corpus_path", str, None),
+    "--vocab": ("vocab_path", str, "vocab file; derived from the corpora when omitted"),
+    "--order": ("order", int, None),
+    "--smoothing-k": ("smoothing_k", float, None),
+    "--eps-g": ("eps_g", float, "global privacy budget in nats"),
+    "--delta": ("delta", float, "failure probability for the DP conversion"),
+    "--queries": ("T", int, "query budget T"),
+    "--alpha": ("alpha", int, "Renyi order (integer >= 2)"),
+    "--q": ("q", float, "Poisson subsample probability"),
+    "--n-models": ("n_models", int, None),
+    "--runs": ("runs", int, None),
+    "--max-seq-len": ("max_seq_len", int, None),
+    "--mode": ("mode", EpsMode, "per-query loss evaluation mode"),
+    "--seed": ("seed", int, None),
+    "--output": ("output_path", str, None),
+}
+_PRIVACY_FLAGS = ("--eps-g", "--delta", "--queries", "--alpha", "--q")
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+             if f.default is not dataclasses.MISSING}
 
 
-def _add_privacy_flags(sub) -> None:
-    sub.add_argument("--eps-g", type=float, default=8.0, dest="eps_g",
-                     help="global privacy budget in nats")
-    sub.add_argument("--delta", type=float, default=1e-5,
-                     help="failure probability for the DP conversion")
-    sub.add_argument("--queries", type=int, default=1024, dest="T",
-                     help="query budget T")
-    sub.add_argument("--alpha", type=int, default=3, help="Renyi order (integer >= 2)")
-    sub.add_argument("--q", type=float, default=0.03, help="Poisson subsample probability")
-
-
-def _add_mode_flag(sub) -> None:
-    sub.add_argument("--mode", choices=[m.value for m in EpsMode],
-                     default=None, help="per-query loss evaluation mode")
+def _add_flags(sub, *flags, from_config: bool = False) -> None:
+    for flag in flags:
+        dest, cast, text = _FLAGS[flag]
+        metavar = "{%s}" % ",".join(m.value for m in cast) if cast is EpsMode else None
+        sub.add_argument(flag, dest=dest, type=cast, help=text, metavar=metavar,
+                         default=None if from_config else _DEFAULTS.get(dest),
+                         required=not from_config and dest not in _DEFAULTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,14 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     train = commands.add_parser("train", help="train and snapshot an ensemble")
-    train.add_argument("--private-corpus", required=True)
-    train.add_argument("--public-corpus", required=True)
-    train.add_argument("--vocab", default=None,
-                       help="vocab file; derived from the corpora when omitted")
-    train.add_argument("--n-models", type=int, default=80)
-    train.add_argument("--order", type=int, default=2)
-    train.add_argument("--smoothing-k", type=float, default=0.1)
-    train.add_argument("--seed", type=int, default=0)
+    _add_flags(train, "--private-corpus", "--public-corpus", "--vocab", "--n-models",
+               "--order", "--smoothing-k", "--seed")
     train.add_argument("--output", required=True, help="snapshot path")
     train.set_defaults(handler=_cmd_train)
 
@@ -93,62 +90,46 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--input", default=None, help="file of contexts, one per line")
     predict.add_argument("--steps", type=int, default=1,
                          help="tokens to generate per context (each costs one query)")
-    _add_privacy_flags(predict)
-    _add_mode_flag(predict)
-    predict.add_argument("--seed", type=int, default=0)
+    _add_flags(predict, *_PRIVACY_FLAGS, "--mode", "--seed")
     predict.add_argument("--trace", default=None, help="write the session trace here")
     predict.add_argument("--output", default=None, help="write responses here instead of stdout")
     predict.set_defaults(handler=_cmd_predict)
 
     compare = commands.add_parser("compare", help="run the three-arm comparison")
-    _add_config_flags(compare)
+    compare.add_argument("--config", required=True, help="experiment config JSON")
+    _add_flags(compare, *_FLAGS, from_config=True)
     compare.set_defaults(handler=_cmd_compare)
 
     sweep = commands.add_parser("sweep", help="sweep one hyperparameter")
-    _add_config_flags(sweep)
+    sweep.add_argument("--config", required=True, help="experiment config JSON")
+    _add_flags(sweep, *_FLAGS, from_config=True)
     sweep.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     sweep.add_argument("--values", required=True,
                        help="comma-separated values for the swept hyperparameter")
     sweep.set_defaults(handler=_cmd_sweep)
 
     account = commands.add_parser("account", help="print the accounting record")
-    _add_privacy_flags(account)
-    account.add_argument("--n-models", type=int, default=80, dest="n_models")
-    _add_mode_flag(account)
+    _add_flags(account, *_PRIVACY_FLAGS, "--n-models", "--mode")
     account.add_argument("--output", default=None)
     account.set_defaults(handler=_cmd_account)
 
     return parser
 
 
-def _add_config_flags(sub) -> None:
-    sub.add_argument("--config", required=True, help="experiment config JSON")
-    for flag, dest, cast in _CONFIG_OVERRIDES:
-        sub.add_argument(flag, dest=dest, type=cast, default=None)
-    _add_mode_flag(sub)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--output", dest="output_path", default=None)
-
-
 def _config_from_args(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config)
-    changes = {}
-    for _, dest, _ in _CONFIG_OVERRIDES:
-        value = getattr(args, dest, None)
-        if value is not None:
-            changes[dest] = value
-    for dest in ("seed", "output_path"):
-        value = getattr(args, dest, None)
-        if value is not None:
-            changes[dest] = value
-    if args.mode is not None:
-        changes["mode"] = EpsMode(args.mode)
-    return config.replace(**changes)
+    changes = {dest: value for dest, _, _ in _FLAGS.values()
+               if (value := getattr(args, dest)) is not None}
+    return ExperimentConfig.from_file(args.config).replace(**changes)
+
+
+def _params(args, n_models: int) -> PrivacyParams:
+    return PrivacyParams(eps_g=args.eps_g, delta=args.delta, T=args.T,
+                         alpha=args.alpha, q=args.q, N=n_models)
 
 
 def _cmd_train(args, out) -> int:
     vocab, private_seqs, public_seqs = _load_inputs(
-        args.private_corpus, args.public_corpus, args.vocab)
+        args.private_corpus_path, args.public_corpus_path, args.vocab_path)
     members, public = _train_arms(vocab, private_seqs, public_seqs, args.n_models,
                                   args.order, args.smoothing_k, args.seed)
     save_snapshot(args.output, vocab, public, members)
@@ -173,10 +154,8 @@ def _iter_contexts(args):
 def _cmd_predict(args, out) -> int:
     check_positive_int(args.steps, "--steps")
     vocab, public, members = load_snapshot(args.snapshot)
-    params = PrivacyParams(eps_g=args.eps_g, delta=args.delta, T=args.T,
-                           alpha=args.alpha, q=args.q, N=len(members))
-    mode = EpsMode(args.mode) if args.mode else EpsMode.CONSERVATIVE
-    session = PredictionSession(members, public, params, mode=mode, seed=args.seed)
+    session = PredictionSession(members, public, _params(args, len(members)),
+                                mode=args.mode, seed=args.seed)
     sink = open(args.output, "w", encoding="utf-8") if args.output else out
     trace = []
     try:
@@ -222,10 +201,8 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_account(args, out) -> int:
-    params = PrivacyParams(eps_g=args.eps_g, delta=args.delta, T=args.T,
-                           alpha=args.alpha, q=args.q, N=args.n_models)
-    mode = EpsMode(args.mode) if args.mode else EpsMode.CONSERVATIVE
-    line = _record_line({"record": "accountant", **Accountant(params, mode).record()})
+    accountant = Accountant(_params(args, args.n_models), args.mode)
+    line = _record_line({"record": "accountant", **accountant.record()})
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(line)

@@ -30,20 +30,18 @@ class Distribution:
     """A normalized probability vector over a finite token vocabulary.
 
     Entries must be nonnegative, sum to 1 within ``NORMALIZATION_ATOL``, and
-    cover at least two tokens.  Inputs inside the tolerance are renormalized
-    on construction; the stored array is read-only so a distribution can be
-    shared freely between threads and cached by model backends.
+    cover at least two tokens: the checks of :func:`_as_probs`.  Unlike the
+    raw arrays every function here also takes, which are used as given,
+    ``Distribution(...)`` renormalizes its input by its sum; the stored array
+    is read-only so a distribution can be shared freely between threads and
+    cached by model backends.
     """
 
     __slots__ = ("_probs",)
 
     def __init__(self, probs):
-        arr = np.asarray(probs, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"probability vector must be 1-D, got shape {arr.shape}")
-        if arr.size < 2:
-            raise ValueError("vocabulary must contain at least 2 tokens")
-        arr = arr / float(check_probabilities(arr, "probabilities"))
+        arr = _as_probs(probs)
+        arr = arr / float(arr.sum())
         arr.flags.writeable = False
         self._probs = arr
 
@@ -103,9 +101,18 @@ def check_order(alpha) -> float:
 
 
 def _as_probs(p) -> np.ndarray:
+    """A distribution's array, or a raw probability vector checked like a
+    :class:`Distribution` (1-D, at least 2 tokens, :func:`check_probabilities`)
+    and used as given, not renormalized."""
     if isinstance(p, Distribution):
         return p.probs
-    return Distribution(p).probs
+    arr = np.asarray(p, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"probability vector must be 1-D, got shape {arr.shape}")
+    if arr.size < 2:
+        raise ValueError("vocabulary must contain at least 2 tokens")
+    check_probabilities(arr, "probabilities")
+    return arr
 
 
 def _matched(p, q) -> tuple[np.ndarray, np.ndarray]:

@@ -16,12 +16,13 @@ File formats:
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .accounting import check_nonnegative_int, check_positive_int
+from .accounting import check_nonnegative_int, check_positive, check_positive_int
 from .divergence import Distribution
 
 UNKNOWN_TOKEN = "<unk>"
@@ -106,16 +107,19 @@ class NGramModel(LanguageModel):
     The probability of token ``w`` after context window ``c`` is
     ``(count(c, w) + k) / (count(c, .) + k * |V|)``, which is strictly
     positive for every token, so divergences from this model are always
-    finite.  Contexts shorter than ``order - 1`` are left-padded with the
-    unknown token.  Models are immutable after training; distributions are
-    cached per context window.
+    finite.  ``k`` must be finite, and a row whose weights total a
+    non-finite number is refused before it is cached or returned.  Contexts
+    shorter than ``order - 1`` are left-padded with the unknown token.
+    Models are immutable after training; distributions are cached per
+    context window.
     """
 
     def __init__(self, order: int, smoothing_k: float, vocab: Vocabulary,
                  counts: dict[tuple[int, ...], dict[int, int]] | None = None):
         self.order = check_positive_int(order, "order")
-        if not smoothing_k > 0.0:
-            raise ValueError(f"smoothing_k must be positive, got {smoothing_k!r}")
+        check_positive(smoothing_k, "smoothing_k")
+        if math.isinf(smoothing_k):
+            raise ValueError(f"smoothing_k must be finite, got {smoothing_k!r}")
         self.context_width = self.order - 1
         self.smoothing_k = float(smoothing_k)
         self.vocab = vocab
@@ -145,8 +149,11 @@ class NGramModel(LanguageModel):
                 raise ValueError(f"token id {token!r} after {window!r} is outside the "
                                  f"vocabulary of {size}")
             weights[token] += count
-        # Distribution()'s divisions; the checked counts and k > 0 make it valid
-        probs = weights / weights.sum()
+        total = weights.sum()
+        if not math.isfinite(total):
+            raise ValueError(f"counts after {window!r} total {float(total)}, which is not finite")
+        # Distribution()'s divisions; the checked counts and finite k > 0 make it valid
+        probs = weights / total
         dist = Distribution._already_normalized(probs / float(probs.sum()))
         self._cache[window] = dist
         return dist
@@ -308,8 +315,9 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
     a vocab, public or member record, misses one of its fields or holds one
     of the wrong type or range; a second vocab or public record, or a model
     before the vocab; member indices other than exactly 0..N-1, in any
-    order; and members that disagree on order or ``smoothing_k``.  Count
-    values are checked when a row is first built.
+    order; and members that disagree on order or ``smoothing_k``.  A
+    non-finite ``smoothing_k`` or count is refused here too; the other count
+    checks run when a row is first built.
     """
     vocab = public = None
     members: dict[int, tuple[int, NGramModel]] = {}  # index -> (line, model)
@@ -336,7 +344,7 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
                 raise ValueError(f"{where}: model record precedes the vocab record")
             try:
                 model = _model_from_record(record, vocab)
-            except (TypeError, ValueError) as err:  # a field of the wrong type or range
+            except (TypeError, ValueError, OverflowError) as err:  # wrong type or range
                 raise ValueError(f"{where}: {err}") from None
             if role == "public":
                 if public is not None:

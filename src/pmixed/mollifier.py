@@ -68,6 +68,8 @@ def mix(p, p0, lam) -> Distribution:
     """Entrywise convex combination ``lam * p + (1 - lam) * p0``.
 
     ``lam = 0`` returns ``p0`` exactly and ``lam = 1`` returns ``p`` exactly.
+    Raw arrays are checked and used as given, not renormalized, so this is
+    bit for bit the mixture :func:`solve_lambdas` verifies.
     """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:

@@ -1,11 +1,17 @@
 """Command-line surface: subcommands, exit codes, and file outputs."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
-from pmixed import Accountant, EpsMode, PrivacyParams
-from pmixed.cli import main
+from pmixed import Accountant, EpsMode, ExperimentConfig, PrivacyParams
+from pmixed.cli import build_parser, main
+from pmixed.experiment import _record_line
+
+CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                   if f.default is not dataclasses.MISSING}
 
 
 class TestAccount:
@@ -47,6 +53,46 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestFlagTable:
+    """Every subcommand's parameter flags come from one table of ExperimentConfig
+    fields, with the config's defaults or, under --config, no default."""
+
+    @pytest.mark.parametrize("command", ["train", "predict", "compare", "sweep", "account"])
+    def test_subcommand_help_exits_zero(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: pmixed {command}")
+        if command != "train":
+            assert "--mode {paper-faithful,conservative}" in out
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["train", "--private-corpus", "p", "--public-corpus", "b", "--output", "o"],
+         {"vocab_path", "n_models", "order", "smoothing_k", "seed"}),
+        (["predict", "--snapshot", "s"], {"eps_g", "delta", "T", "alpha", "q", "mode", "seed"}),
+        (["account"], {"eps_g", "delta", "T", "alpha", "q", "n_models", "mode"}),
+    ])
+    def test_defaults_are_the_config_defaults(self, argv, fields):
+        args = vars(build_parser().parse_args(argv))
+        assert set(args) & set(CONFIG_DEFAULTS) == fields
+        for name in fields:
+            assert (args[name], type(args[name])) \
+                == (CONFIG_DEFAULTS[name], type(CONFIG_DEFAULTS[name])), name
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_config_overrides_default_to_none(self, command):
+        argv = [command, "--config", "c"] + (["--axis", "T", "--values", "1"]
+                                            if command == "sweep" else [])
+        args = vars(build_parser().parse_args(argv))
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert {name: args[name] for name in fields} == dict.fromkeys(fields)
+
+    def test_account_without_flags_prints_the_default_record(self, capsys):
+        assert main(["account"]) == 0
+        config = ExperimentConfig("private.txt", "public.txt", "test.txt")
+        record = Accountant(config.params(), config.mode).record()
+        assert capsys.readouterr().out == _record_line({"record": "accountant", **record})
 
 
 class TestTrainAndPredict:
@@ -142,6 +188,38 @@ class TestTrainAndPredict:
         captured = capsys.readouterr()
         assert f"error: {problem}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_train_refuses_an_infinite_smoothing_k(self, tiny_corpus, tmp_path, capsys):
+        out = tmp_path / "ensemble.jsonl"
+        code = main(["train", "--private-corpus", str(tiny_corpus["root"] / "private.txt"),
+                     "--public-corpus", str(tiny_corpus["root"] / "public.txt"),
+                     "--n-models", "4", "--smoothing-k", "inf", "--output", str(out)])
+        assert code == 2
+        assert "error: smoothing_k must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("line, field, value, problem", [
+        (2, "smoothing_k", math.inf, "snapshot line 2: smoothing_k must be finite, got inf"),
+        (2, "counts", [[[2], [[3, 10**308], [4, 10**308]]]],
+         "counts after (2,) total inf, which is not finite"),
+        (3, "counts", [[[2], [[3, math.inf]]]],
+         "snapshot line 3: cannot convert float infinity to integer"),
+    ])
+    def test_predict_refuses_non_finite_model_values(self, snapshot, capsys, tmp_path,
+                                                     line, field, value, problem):
+        records = [json.loads(line) for line in snapshot.read_text().splitlines()]
+        records[line - 1][field] = value
+        broken, trace = tmp_path / "broken.jsonl", tmp_path / "trace.jsonl"
+        broken.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code = main(["predict", "--snapshot", str(broken), "--context", "v1",
+                     "--queries", "4", "--q", "0.5", "--trace", str(trace)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {problem}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        if trace.exists():  # refused after loading: the session charged nothing
+            assert json.loads(trace.read_text().splitlines()[0])["queries_answered"] == 0
 
     def test_predict_reads_input_file(self, snapshot, capsys, tmp_path):
         contexts = tmp_path / "contexts.txt"

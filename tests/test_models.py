@@ -1,6 +1,7 @@
 """Vocabulary, n-gram backend, partitioner, and snapshot round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +145,15 @@ class TestNGram:
             NGramModel(0, 0.1, vocab)
         with pytest.raises(ValueError):
             NGramModel(2, 0.0, vocab)
+        with pytest.raises(ValueError, match="smoothing_k must be finite, got inf"):
+            NGramModel(2, math.inf, vocab)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_refuses_a_row_whose_total_is_not_finite(self, vocab):
+        model = NGramModel(2, 0.1, vocab, {(1,): {2: 10**308, 3: 10**308}})
+        with pytest.raises(ValueError, match=r"counts after \(1,\) total inf, which is not finite"):
+            model.distribution([1])
+        assert model._cache == {}
 
     def test_public_model_builder_matches_training(self, vocab):
         data = [vocab.encode("a b c".split())]
@@ -363,6 +373,8 @@ class TestSnapshotRefusals:
         ("counts", 5, "'int' object is not iterable"),
         ("order", 0, "order must be a positive integer, got 0"),
         ("smoothing_k", -0.1, "smoothing_k must be positive, got -0.1"),
+        ("smoothing_k", math.inf, "smoothing_k must be finite, got inf"),
+        ("counts", [[[1], [[2, math.inf]]]], "cannot convert float infinity to integer"),
     ])
     def test_a_field_of_the_wrong_type_or_range_names_its_line(self, vocab, tmp_path,
                                                                field, value, problem):

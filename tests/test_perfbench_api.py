@@ -1,17 +1,23 @@
-"""The benchmark's calls into the package resolve.
+"""The benchmark's calls into the package resolve, and its command lines parse.
 
 ``perfbench/*.py`` reach the package through module aliases such as
 ``import pmixed.models as pm_models``.  This test parses those files,
 without importing them, and checks that every attribute chain they take
 from an alias exists, so a deletion that would break the benchmark fails
-the suite instead of the benchmark run.
+the suite instead of the benchmark run.  The ``pmixed`` command lines that
+the workloads start are checked against the CLI's parser, without running
+them, for the same reason.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
+
+from pmixed.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,3 +58,30 @@ def test_every_name_the_benchmark_uses_exists():
     missing = [f"{name}: {module}.{chain}" for name, module, chain in sorted(uses)
                if not _resolves(module, chain)]
     assert missing == []
+
+
+def test_every_command_line_the_benchmark_starts_parses(monkeypatch, tmp_path):
+    """Each workload's cold-start command and the `pmixed train` that prepares
+    a serve workload's snapshot, captured instead of run."""
+    path = PERFBENCH / "workloads.py"
+    if not path.exists():
+        pytest.skip("perfbench/ is not present")
+    monkeypatch.chdir(PERFBENCH.parent)  # the fixture config's paths are relative to it
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    argvs = []
+    monkeypatch.setattr(workloads.subprocess, "run", lambda argv, **_: argvs.append(argv))
+    for name in workloads.NAMES:
+        workload = workloads.make(name, 0, tmp_path)
+        workload.prepare()
+        argvs.append(workload.cold_start_argv())
+    assert [argv[3] for argv in argvs] == ["compare", "train", "predict", "train", "predict"]
+    parser = build_parser()
+    for argv in argvs:
+        assert argv[:3] == [sys.executable, "-m", "pmixed.cli"]
+        try:
+            parser.parse_args(argv[3:])
+        except SystemExit:
+            pytest.fail(f"pmixed does not accept {argv[3:]}")

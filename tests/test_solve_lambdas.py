@@ -151,6 +151,20 @@ def test_per_row_references_match_one_reference_calls(instance, seed):
         == solve_lambdas(rows, p0, alpha, beta, TOL).tolist()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_mix_of_raw_arrays_is_the_mixture_the_search_verified(seed):
+    """Raw rows and references are checked and used as given, never rescaled:
+    ``mix`` returns, bit for bit, the mixture ``lam * row + (1 - lam) * ref``
+    that ``solve_lambdas`` verified, and it passes ``mollifier_membership``."""
+    rows, refs = np.random.default_rng(seed).dirichlet(np.ones(49), size=(2, 32))
+    weights = solve_lambdas(rows, refs, 3, 0.01, TOL)
+    assert 0.0 < weights.min() < weights.max() <= 1.0
+    for row, ref, lam in zip(rows, refs, weights):
+        mixed = mix(row, ref, lam)
+        assert mixed.probs.tobytes() == (lam * row + (1.0 - lam) * ref).tobytes()
+        assert mollifier_membership(mixed, ref, 3, 0.01)
+
+
 def test_rejects_reference_stacks_unlike_the_rows():
     rows = np.full((2, 4), 0.25)
     with pytest.raises(ValueError, match="references"):

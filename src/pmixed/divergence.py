@@ -30,11 +30,11 @@ class Distribution:
     """A normalized probability vector over a finite token vocabulary.
 
     Entries must be nonnegative, sum to 1 within ``NORMALIZATION_ATOL``, and
-    cover at least two tokens: the checks of :func:`_as_probs`.  Unlike the
-    raw arrays every function here also takes, which are used as given,
-    ``Distribution(...)`` renormalizes its input by its sum; the stored array
-    is read-only so a distribution can be shared freely between threads and
-    cached by model backends.
+    cover at least two tokens.  Functions that take a raw array in place of
+    a distribution check it the same way (:func:`_as_probs`) and use it as
+    given; only ``Distribution(...)`` renormalizes its input by its sum.  The
+    stored array is read-only so a distribution can be shared freely between
+    threads and cached by model backends.
     """
 
     __slots__ = ("_probs",)

@@ -208,7 +208,7 @@ class TestTrainAndPredict:
     ])
     def test_predict_refuses_non_finite_model_values(self, snapshot, capsys, tmp_path,
                                                      line, field, value, problem):
-        records = [json.loads(line) for line in snapshot.read_text().splitlines()]
+        records = [json.loads(text) for text in snapshot.read_text().splitlines()]
         records[line - 1][field] = value
         broken, trace = tmp_path / "broken.jsonl", tmp_path / "trace.jsonl"
         broken.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")

@@ -14,7 +14,6 @@ from .accounting import (
     PrivacyParams,
     base_eps_for_order,
     beta_infinite_order,
-    beta_infinite_order_lower,
     beta_max,
     per_query_eps,
     rdp_to_dp,
@@ -73,7 +72,6 @@ __all__ = [
     "Vocabulary",
     "base_eps_for_order",
     "beta_infinite_order",
-    "beta_infinite_order_lower",
     "beta_max",
     "build_public_model",
     "load_corpus",

@@ -26,6 +26,9 @@ from enum import Enum
 # exp() overflows around 709; switch to shifted log forms above this
 _EXP_ARG_LIMIT = 700.0
 
+# Slack that solve_beta_star may leave on the per-query loss constraint, in nats
+BETA_STAR_TOL = 1e-9
+
 
 class EpsMode(Enum):
     """How the per-query loss entering the amplification bound is evaluated.
@@ -51,9 +54,11 @@ class BudgetExhaustedError(RuntimeError):
 
 
 def _integral(value) -> int | None:
-    """``value`` as an int when it is an integer or an integral float, else None."""
+    """``value`` as an int when it is an integer or an integral float that a
+    float also holds, else None."""
     try:
         number = int(value)
+        float(number)  # an integer beyond the float range, such as 10**309
     except (TypeError, ValueError, OverflowError):  # None, text, NaN, infinity
         return None
     return number if number == value else None
@@ -249,19 +254,15 @@ def amplified_eps(params: PrivacyParams, beta: float, mode: EpsMode) -> float:
                           lambda k: base_eps_for_order(beta, k, params.N, mode))
 
 
-def solve_beta_star(
-    params: PrivacyParams,
-    mode: EpsMode = EpsMode.CONSERVATIVE,
-    tol: float = 1e-9,
-) -> float:
+def solve_beta_star(params: PrivacyParams, mode: EpsMode = EpsMode.CONSERVATIVE) -> float:
     """Largest radius whose amplified per-query loss fits within eps_g / T.
 
     The amplified loss is monotone in the radius, so the radius is found by
     bisection on a bracket grown by doubling; the feasible endpoint is kept
-    throughout, so the returned radius never overspends the budget.  ``tol``
-    bounds the slack left on the loss constraint at the returned radius.
+    throughout, so the returned radius never overspends the budget.
+    ``BETA_STAR_TOL`` bounds the slack left on the loss constraint at the
+    returned radius.
     """
-    check_positive(tol, "tolerance")
     target = params.eps_g / params.T
     lo, lo_val = 0.0, 0.0
     hi = 1.0
@@ -275,7 +276,7 @@ def solve_beta_star(
         raise RuntimeError("failed to bracket the radius; budget is effectively unbounded")
 
     for _ in range(200):
-        if target - lo_val <= tol and hi - lo <= 1e-12 * max(hi, 1.0):
+        if target - lo_val <= BETA_STAR_TOL and hi - lo <= 1e-12 * max(hi, 1.0):
             break
         mid = 0.5 * (lo + hi)
         mid_val = amplified_eps(params, mid, mode)
@@ -295,37 +296,17 @@ def rdp_to_dp(alpha: int, eps: float, delta: float) -> float:
     return eps + math.log((a - 1) / a) - (math.log(delta) + math.log(a)) / (a - 1)
 
 
-def _check_max_order_args(N, eps_g, T, alpha) -> float:
-    """Validate the max-divergence radius arguments; returns the order as a float."""
-    _check_budget_args(N, eps_g, T)
-    a = float(alpha)
-    if not a > 1.0:
-        raise ValueError(f"order must be > 1, got {alpha!r}")
-    return a
-
-
 def beta_infinite_order(N: int, eps_g: float, T: int, alpha: float) -> float:
     """Radius from the pure-DP (max-divergence) analysis, scaled to order alpha.
 
     Diagnostic companion to :func:`beta_max`: the max-divergence argument
     yields ``log(N * e**(eps_g / T) + 1 - N) / (2 * alpha)``.
     """
-    a = _check_max_order_args(N, eps_g, T, alpha)
+    _check_budget_args(N, eps_g, T)
+    a = float(alpha)
+    if not a > 1.0:
+        raise ValueError(f"order must be > 1, got {alpha!r}")
     return _log1p_scaled_expm1(float(N), eps_g / T) / (2.0 * a)
-
-
-def beta_infinite_order_lower(N: int, eps_g: float, T: int, alpha: float):
-    """Matching lower bound of the max-divergence analysis, when defined.
-
-    Returns ``log(N - (N-1) * e**(eps_g / T)) / (2 * alpha)`` if the log
-    argument is positive and ``None`` otherwise (the bound is then vacuous).
-    The upper bound of :func:`beta_infinite_order` always dominates it.
-    """
-    a = _check_max_order_args(N, eps_g, T, alpha)
-    arg = N - (N - 1) * math.exp(eps_g / T) if eps_g / T <= _EXP_ARG_LIMIT else -math.inf
-    if arg <= 0.0:
-        return None
-    return math.log(arg) / (2.0 * a)
 
 
 @dataclass

@@ -169,10 +169,7 @@ def _cmd_predict(args, out) -> int:
                 ids = list(ids) + [token]
                 generated.append(vocab.tokens[token])
             sink.write(json.dumps({"context": context_tokens, "generated": generated}) + "\n")
-    except BudgetExhaustedError as err:
-        print(f"refused: {err}", file=sys.stderr)
-        return 1
-    finally:
+    finally:  # a refusal propagates to main after the trace is written
         if args.trace:
             serialize_trace(trace, args.trace, session=session)
         if sink is not out:

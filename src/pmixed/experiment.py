@@ -240,7 +240,6 @@ class ExperimentReport:
     seed_schedule: list[int]
     accountant: dict | None = None
     arms: dict = field(default_factory=dict)
-    sweep_axis: str | None = None
     sweep_rows: list[dict] = field(default_factory=list)
 
     def add_arm(self, name: str, per_run: list[float], queries: list[int] | None = None,
@@ -313,16 +312,13 @@ class ExperimentReport:
             fh.write(self.sweep_table())
 
 
-def serialize_trace(records: Sequence[QueryRecord], path,
-                    session: PredictionSession | None = None) -> None:
+def serialize_trace(records: Sequence[QueryRecord], path, session: PredictionSession) -> None:
     """Write a session trace (subset membership and mixing weights) as JSON
-    lines, preceded by the session's accounting record when one is given."""
+    lines, preceded by the session's accounting record."""
     with open(path, "w", encoding="utf-8") as fh:
-        if session is not None:
-            fh.write(_record_line({"record": "accountant",
-                                   **session.accountant.record(),
-                                   "queries_answered": session.ledger.queries_answered,
-                                   "spent_eps": session.ledger.spent}))
+        fh.write(_record_line({"record": "accountant", **session.accountant.record(),
+                               "queries_answered": session.ledger.queries_answered,
+                               "spent_eps": session.ledger.spent}))
         for t, record in enumerate(records):
             fh.write(_record_line({
                 "record": "query",
@@ -417,8 +413,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values: Sequence) -> Experime
     field_name = SWEEP_AXES[axis]
     config = config.validate()
     seeds = [config.seed + r for r in range(config.runs)]
-    report = ExperimentReport(config=config.to_dict(), seed_schedule=seeds,
-                              sweep_axis=axis)
+    report = ExperimentReport(config=config.to_dict(), seed_schedule=seeds)
     caster = type(getattr(ExperimentConfig, field_name))
     if caster is int:
         fractional = [v for v in values if not float(v).is_integer()]

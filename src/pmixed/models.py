@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
@@ -58,15 +59,15 @@ class Vocabulary:
         return [self.tokens[i] for i in ids]
 
     @classmethod
-    def from_corpus(cls, documents: Iterable[Sequence[str]], unknown_token: str = UNKNOWN_TOKEN) -> "Vocabulary":
+    def from_corpus(cls, documents: Iterable[Sequence[str]]) -> "Vocabulary":
         """Build a vocabulary from documents, most frequent tokens first."""
         counts: dict[str, int] = {}
         for doc in documents:
             for tok in doc:
                 counts[tok] = counts.get(tok, 0) + 1
-        counts.pop(unknown_token, None)
+        counts.pop(UNKNOWN_TOKEN, None)
         ordered = sorted(counts, key=lambda tok: (-counts[tok], tok))
-        return cls((unknown_token, *ordered))
+        return cls((UNKNOWN_TOKEN, *ordered))
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
@@ -107,11 +108,12 @@ class NGramModel(LanguageModel):
     The probability of token ``w`` after context window ``c`` is
     ``(count(c, w) + k) / (count(c, .) + k * |V|)``, which is strictly
     positive for every token, so divergences from this model are always
-    finite.  ``k`` must be finite, and a row whose weights total a
-    non-finite number is refused before it is cached or returned.  Contexts
-    shorter than ``order - 1`` are left-padded with the unknown token.
-    Models are immutable after training; distributions are cached per
-    context window.
+    finite.  ``k`` must be finite.  When a row is first built, a count that
+    is not a nonnegative integer a float holds, a token id outside the
+    vocabulary, or weights that total a non-finite number refuse the row
+    before it is cached or returned.  Contexts shorter than ``order - 1``
+    are left-padded with the unknown token.  Models are immutable after
+    training; distributions are cached per context window.
     """
 
     def __init__(self, order: int, smoothing_k: float, vocab: Vocabulary,
@@ -143,12 +145,10 @@ class NGramModel(LanguageModel):
         size = self.vocab.size
         weights = np.full(size, self.smoothing_k, dtype=np.float64)
         for token, count in self.counts.get(window, {}).items():
-            if not count >= 0:
-                raise ValueError(f"counts must be nonnegative, got {count!r} after {window!r}")
             if not 0 <= token < size:
                 raise ValueError(f"token id {token!r} after {window!r} is outside the "
                                  f"vocabulary of {size}")
-            weights[token] += count
+            weights[token] += check_nonnegative_int(count, "counts")
         total = weights.sum()
         if not math.isfinite(total):
             raise ValueError(f"counts after {window!r} total {float(total)}, which is not finite")
@@ -281,11 +281,19 @@ def _model_record(model: NGramModel, role: str, index: int | None = None) -> dic
 
 
 def _model_from_record(record: dict, vocab: Vocabulary) -> NGramModel:
-    counts = {
-        tuple(window): {int(tok): int(cnt) for tok, cnt in slot}
-        for window, slot in record["counts"]
-    }
-    return NGramModel(record["order"], record["smoothing_k"], vocab, counts)
+    """The model of a snapshot record, whose window ids, token ids and counts
+    must be JSON integers and whose windows must be ``order - 1`` ids long."""
+    model = NGramModel(record["order"], record["smoothing_k"], vocab)
+    index, width, counts = operator.index, model.context_width, model.counts
+    for window, slot in record["counts"]:
+        key = tuple(window)
+        for token in key:
+            index(token)  # a TypeError unless a JSON integer
+        if len(key) != width:
+            raise ValueError(f"window {window!r} holds {len(key)} token ids, "
+                             f"not order - 1 = {width}")
+        counts[key] = {index(tok): index(cnt) for tok, cnt in slot}
+    return model
 
 
 def save_snapshot(path, vocab: Vocabulary, public: NGramModel,
@@ -315,9 +323,13 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
     a vocab, public or member record, misses one of its fields or holds one
     of the wrong type or range; a second vocab or public record, or a model
     before the vocab; member indices other than exactly 0..N-1, in any
-    order; and members that disagree on order or ``smoothing_k``.  A
-    non-finite ``smoothing_k`` or count is refused here too; the other count
-    checks run when a row is first built.
+    order; and members that disagree on order or ``smoothing_k``.  Window
+    ids, token ids and counts must be JSON integers, so ``1.5``, ``-0.5``,
+    ``"2"`` and ``Infinity`` are refused rather than rounded, and each
+    window must hold ``order - 1`` ids; a non-finite ``smoothing_k`` is
+    refused too.  The value checks of :class:`NGramModel` (negative counts,
+    counts beyond the float range, tokens outside the vocabulary, row
+    totals) run when a row is first built.
     """
     vocab = public = None
     members: dict[int, tuple[int, NGramModel]] = {}  # index -> (line, model)

@@ -82,7 +82,7 @@ class PredictionSession:
         self.ensemble = list(ensemble)
         self.public_model = public_model
         self.accountant = Accountant(params, mode)
-        self.params, self.mode = params, mode
+        self.params = params
         self.beta_star = self.accountant.beta_star
         self.ledger = AccountantLedger(params, self.accountant.per_query_eps)
         self.rng = np.random.default_rng(self.rng_seed)

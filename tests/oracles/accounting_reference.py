@@ -62,14 +62,6 @@ def beta_radius_max_order(N, eps_g, T, alpha):
     return mp.log(N * mp.e ** (eps_g / T) + 1 - N) / (2 * alpha)
 
 
-def beta_radius_max_order_lower(N, eps_g, T, alpha):
-    N, eps_g, T, alpha = mp.mpf(N), mp.mpf(eps_g), mp.mpf(T), mp.mpf(alpha)
-    arg = N - (N - 1) * mp.e ** (eps_g / T)
-    if arg <= 0:
-        return None
-    return mp.log(arg) / (2 * alpha)
-
-
 def renyi_divergence(p, q, alpha):
     """Direct evaluation of the order-alpha divergence sum."""
     alpha = mp.mpf(alpha)
@@ -111,8 +103,6 @@ def main():
 
     print("# max-order radius diagnostics")
     show("beta_maxord(80,8,1024,3)", beta_radius_max_order(80, 8, 1024, 3))
-    lower = beta_radius_max_order_lower(80, 8, 1024, 3)
-    show("beta_maxord_lower(80,8,1024,3)", lower)
     show("beta_maxord(1,8,1024,3)", beta_radius_max_order(1, 8, 1024, 3))
 
 

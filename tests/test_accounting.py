@@ -16,7 +16,6 @@ from pmixed import (
     PrivacyParams,
     base_eps_for_order,
     beta_infinite_order,
-    beta_infinite_order_lower,
     beta_max,
     per_query_eps,
     rdp_to_dp,
@@ -183,13 +182,13 @@ class TestSolveBetaStar:
         params = PrivacyParams(**TABLE_PARAMS)
         target = params.eps_g / params.T
         for mode in EpsMode:
-            star = solve_beta_star(params, mode, tol=1e-9)
+            star = solve_beta_star(params, mode)
             loss = lambda b: subsampled_eps(
                 params.q, params.alpha,
                 lambda k: base_eps_for_order(b, k, params.N, mode),
             )
             assert loss(star) <= target
-            assert loss(star) >= target - 1e-9
+            assert loss(star) >= target - accounting.BETA_STAR_TOL
             assert loss(star * 1.001) > target
 
 
@@ -236,26 +235,11 @@ class TestMaxOrderRadius:
             0.0811688344039, rel=1e-9
         )
 
-    def test_lower_bound_reference_value(self):
-        got = beta_infinite_order_lower(80, 8.0, 1024, 3)
-        assert got == pytest.approx(-0.161090708235, rel=1e-9)
-
-    def test_upper_dominates_lower_when_defined(self):
-        for n in (1, 2, 5, 80):
-            for ratio in (1e-4, 1e-2, 0.5):
-                upper = beta_infinite_order(n, ratio, 1, 3)
-                lower = beta_infinite_order_lower(n, ratio, 1, 3)
-                if lower is not None:
-                    assert upper >= lower
-
-    def test_lower_bound_vacuous_for_big_budget(self):
-        assert beta_infinite_order_lower(80, 8.0, 2, 3) is None
-
-    def test_lower_bound_rejects_bad_budget_and_query_count(self):
+    def test_rejects_bad_budget_and_query_count(self):
         with pytest.raises(ValueError, match="eps_g must be positive"):
-            beta_infinite_order_lower(80, -1.0, 1024, 3)
+            beta_infinite_order(80, -1.0, 1024, 3)
         with pytest.raises(ValueError, match="T must be a positive integer"):
-            beta_infinite_order_lower(80, 8.0, 0, 3)
+            beta_infinite_order(80, 8.0, 0, 3)
 
 
 class TestPrivacyParams:
@@ -266,11 +250,14 @@ class TestPrivacyParams:
             {"delta": 0.0},
             {"delta": 1.0},
             {"T": 0},
+            {"T": 10**309},  # no float holds it
             {"alpha": 1},
             {"alpha": 2.5},
+            {"alpha": 10**309},
             {"q": 0.0},
             {"q": 1.5},
             {"N": 0},
+            {"N": 10**309},
         ):
             with pytest.raises(ValueError):
                 PrivacyParams(**{**good, **bad})

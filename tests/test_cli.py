@@ -43,6 +43,12 @@ class TestAccount:
         assert code == 2
         assert "usage" in capsys.readouterr().err
 
+    def test_a_query_count_no_float_holds_exits_2(self, capsys):
+        assert main(["account", "--queries", str(10**309)]) == 2
+        captured = capsys.readouterr()
+        assert "error: T must be a positive integer, got 1000" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -172,6 +178,12 @@ class TestTrainAndPredict:
     @pytest.mark.parametrize("field, value, problem", [
         ("index", None, "snapshot line 4: member record misses index"),
         ("index", 0, "snapshot line 4: member index 0 repeats line 3"),
+        ("counts", [[[2], [[3, 1.5]]]],
+         "snapshot line 4: 'float' object cannot be interpreted as an integer"),
+        ("counts", [[[2], [[3, -0.5]]]],
+         "snapshot line 4: 'float' object cannot be interpreted as an integer"),
+        ("counts", [[[2, 3], [[3, 1]]]],
+         "snapshot line 4: window [2, 3] holds 2 token ids, not order - 1 = 1"),
     ])
     def test_predict_malformed_snapshot_is_a_usage_error(self, snapshot, capsys, tmp_path,
                                                          field, value, problem):
@@ -204,7 +216,8 @@ class TestTrainAndPredict:
         (2, "counts", [[[2], [[3, 10**308], [4, 10**308]]]],
          "counts after (2,) total inf, which is not finite"),
         (3, "counts", [[[2], [[3, math.inf]]]],
-         "snapshot line 3: cannot convert float infinity to integer"),
+         "snapshot line 3: 'float' object cannot be interpreted as an integer"),
+        (2, "counts", [[[2], [[3, 10**309]]]], "counts must be a nonnegative integer, got 1000"),
     ])
     def test_predict_refuses_non_finite_model_values(self, snapshot, capsys, tmp_path,
                                                      line, field, value, problem):
@@ -218,8 +231,11 @@ class TestTrainAndPredict:
         captured = capsys.readouterr()
         assert f"error: {problem}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
-        if trace.exists():  # refused after loading: the session charged nothing
-            assert json.loads(trace.read_text().splitlines()[0])["queries_answered"] == 0
+        if problem.startswith("snapshot line"):  # refused by the loader: no session
+            assert not trace.exists()
+        else:  # refused on the row's first use: nothing was released or charged
+            header, *answers = [json.loads(text) for text in trace.read_text().splitlines()]
+            assert (header["queries_answered"], answers) == (0, [])
 
     def test_predict_reads_input_file(self, snapshot, capsys, tmp_path):
         contexts = tmp_path / "contexts.txt"

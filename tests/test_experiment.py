@@ -283,8 +283,10 @@ class TestReportSerialization:
         session = PredictionSession(members, public, params, seed=5)
         records = session.run_session([[1], [1, 2]])
         path = tmp_path / "trace.jsonl"
-        serialize_trace(records, path)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        serialize_trace(records, path, session)
+        header, *lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert header == {"record": "accountant", **_round9(session.accountant.record()),
+                          "queries_answered": 2, "spent_eps": _round9(session.ledger.spent)}
         assert len(lines) == 2
         assert lines[0]["record"] == "query"
         assert lines[0]["subset"] == [0, 1]

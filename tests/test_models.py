@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,12 @@ class TestNGram:
     def test_refuses_a_row_whose_total_is_not_finite(self, vocab):
         model = NGramModel(2, 0.1, vocab, {(1,): {2: 10**308, 3: 10**308}})
         with pytest.raises(ValueError, match=r"counts after \(1,\) total inf, which is not finite"):
+            model.distribution([1])
+        assert model._cache == {}
+
+    def test_refuses_a_count_that_no_float_holds(self, vocab):
+        model = NGramModel(2, 0.1, vocab, {(1,): {2: 10**309}})
+        with pytest.raises(ValueError, match="^counts must be a nonnegative integer, got 1000"):
             model.distribution([1])
         assert model._cache == {}
 
@@ -374,11 +381,19 @@ class TestSnapshotRefusals:
         ("order", 0, "order must be a positive integer, got 0"),
         ("smoothing_k", -0.1, "smoothing_k must be positive, got -0.1"),
         ("smoothing_k", math.inf, "smoothing_k must be finite, got inf"),
-        ("counts", [[[1], [[2, math.inf]]]], "cannot convert float infinity to integer"),
+        ("counts", [[[1], [[2, math.inf]]]], "'float' object cannot be interpreted as an integer"),
+        # token ids, window ids and counts are JSON integers, and a window holds order - 1 ids
+        ("counts", [[[1], [[2, 1.5]]]], "'float' object cannot be interpreted as an integer"),
+        ("counts", [[[1], [[2, -0.5]]]], "'float' object cannot be interpreted as an integer"),
+        ("counts", [[[1], [["2", 1]]]], "'str' object cannot be interpreted as an integer"),
+        ("counts", [[[1], [[2.7, 1]]]], "'float' object cannot be interpreted as an integer"),
+        ("counts", [[[1.0], [[2, 1]]]], "'float' object cannot be interpreted as an integer"),
+        ("counts", [[[1, 2], [[2, 1]]]], "window [1, 2] holds 2 token ids, not order - 1 = 1"),
+        ("counts", [[[], [[2, 1]]]], "window [] holds 0 token ids, not order - 1 = 1"),
     ])
     def test_a_field_of_the_wrong_type_or_range_names_its_line(self, vocab, tmp_path,
                                                                field, value, problem):
         path, records = _snapshot_records(vocab, tmp_path)
         records[3][field] = value
-        with pytest.raises(ValueError, match=f"^snapshot line 4: {problem}"):
+        with pytest.raises(ValueError, match=f"^snapshot line 4: {re.escape(problem)}"):
             load_snapshot(_write(path, records))

@@ -148,14 +148,18 @@ class TestTrainAndPredict:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
-    def test_predict_refuses_after_budget(self, snapshot, capsys):
+    def test_predict_refuses_after_budget(self, snapshot, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
         code = main([
             "predict", "--snapshot", str(snapshot),
             "--context", "v1", "--steps", "3",
-            "--eps-g", "2", "--queries", "2", "--q", "0.5",
+            "--eps-g", "2", "--queries", "2", "--q", "0.5", "--trace", str(trace),
         ])
         assert code == 1
-        assert "refused" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("refused: query budget exhausted") == 1
+        # the trace is still written, and holds the two answers given before the refusal
+        header, *answers = [json.loads(text) for text in trace.read_text().splitlines()]
+        assert (header["queries_answered"], len(answers)) == (2, 2)
 
     def test_predict_steps_below_one_is_a_usage_error(self, snapshot, capsys):
         for steps in ("0", "-2"):

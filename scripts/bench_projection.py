@@ -10,9 +10,12 @@ Records every ``solve_lambdas`` call that the answer path makes in
 Serve sessions generate 16 tokens from each two-token prompt drawn from the
 test corpus, feeding every sampled token back.  The recorded calls are then
 replayed and, per workload, the script prints the number of calls, the mean
-rows per call, the divergence-kernel calls per solve, the median over
-repeats of the microseconds per solve, and a digest of every returned
-weight, which a change that only makes the search faster must not move.
+rows per call, the divergence-kernel calls per solve, the share of searched
+rows (those below weight 1) whose predicted walk certified, the kernel
+calls per solve that the one-halving loop made after a walk failed or in
+place of one, the median over repeats of the microseconds per solve, and a
+digest of every returned weight, which a change that only makes the search
+faster must not move.
 
 Usage: python scripts/bench_projection.py [--repeats R] [--seed S]
 Run it from the repository root: the fixture config names its corpora by
@@ -88,11 +91,15 @@ def _serve_calls(config: ExperimentConfig, name: str, seed: int) -> list[tuple]:
     return _recording(run)
 
 
-def _kernel_calls(calls: list[tuple]) -> tuple[int, str]:
+def _kernel_calls(calls: list[tuple]) -> tuple[int, int, int, int, str]:
     """Divergence-kernel calls over one replay, counted on every ``_renyi*``
-    function that the mollifier imports, and the digest of the weights."""
-    count = 0
+    function that the mollifier imports; the searched rows and those whose
+    predicted grid point was their weight, so that one kernel call certified
+    their walk; the predicted walks; and the digest of the weights."""
+    count = walks = searched = certified = 0
     originals = {name: fn for name, fn in vars(mollifier).items() if name.startswith("_renyi")}
+    grid_index = mollifier._grid_index
+    named = []
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -101,16 +108,29 @@ def _kernel_calls(calls: list[tuple]) -> tuple[int, str]:
             return fn(*args, **kwargs)
         return wrapper
 
+    def recorded(lam, steps):
+        named.append((grid_index(lam, steps), steps))
+        return named[-1][0]
+
     digest = hashlib.sha256()
     for name, fn in originals.items():
         setattr(mollifier, name, counted(fn))
+    mollifier._grid_index = recorded
     try:
         for args in calls:
-            digest.update(mollifier.solve_lambdas(*args).tobytes())
+            named.clear()
+            weights = mollifier.solve_lambdas(*args)
+            digest.update(weights.tobytes())
+            below = weights[weights < 1.0]
+            searched += below.size
+            for k, steps in named:
+                walks += 1
+                certified += int(np.sum(k * 0.5**steps == below))
     finally:
         for name, fn in originals.items():
             setattr(mollifier, name, fn)
-    return count, digest.hexdigest()[:16]
+        mollifier._grid_index = grid_index
+    return count, walks, searched, certified, digest.hexdigest()[:16]
 
 
 def _us_per_solve(calls: list[tuple], repeats: int) -> float:
@@ -134,13 +154,15 @@ def main(argv=None) -> int:
     workloads = {name: _serve_calls(config, name, args.seed) for name in SERVE}
     workloads["compare"] = _recording(lambda: run_comparison(config))
     print(f"{'workload':<20} {'calls':>6} {'rows/call':>9} {'kernel/solve':>12} "
-          f"{'us/solve':>9}  weights")
+          f"{'certified':>9} {'loop/solve':>10} {'us/solve':>9}  weights")
     for name, calls in workloads.items():
         rows = np.mean([len(c[0]) for c in calls])
-        kernel, digest = _kernel_calls(calls)
+        kernel, walks, searched, certified, digest = _kernel_calls(calls)
+        # each solve makes one call at weight 1 and one per predicted walk
+        loop = (kernel - len(calls) - walks) / len(calls)
         us = _us_per_solve(calls, args.repeats)
         print(f"{name:<20} {len(calls):>6} {rows:>9.1f} {kernel / len(calls):>12.2f} "
-              f"{us:>9.1f}  {digest}")
+              f"{certified / max(searched, 1):>9.3f} {loop:>10.2f} {us:>9.1f}  {digest}")
     return 0
 
 

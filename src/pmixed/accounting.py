@@ -55,7 +55,10 @@ class BudgetExhaustedError(RuntimeError):
 
 def _integral(value) -> int | None:
     """``value`` as an int when it is an integer or an integral float that a
-    float also holds, else None."""
+    float also holds, else None.  A bool is not a count: JSON's ``true`` is
+    refused, not read as 1."""
+    if isinstance(value, bool):
+        return None
     try:
         number = int(value)
         float(number)  # an integer beyond the float range, such as 10**309

@@ -126,11 +126,11 @@ class _Reference:
     """A reference distribution ``q`` prepared once for many kernel calls.
 
     ``probs`` is ``(V,)``, shared by every row, or ``(..., V)`` with one
-    reference per row.  ``offsets[..., d, :]`` is the ``q`` half of
-    direction ``d``'s terms and ``factors[d]`` the factor of ``log p`` in
-    them: ``(1-a) log q`` and ``a`` forward, ``a log q`` and ``1-a``
-    backward at finite order ``a``; ``-log q`` and 1, ``log q`` and -1 at
-    infinite order.  ``log q`` is taken on ``q``'s support and 0 off it.
+    reference per row.  ``offsets[d]`` is the ``q`` half of direction
+    ``d``'s terms and ``factors[d]`` the factor of ``log p`` in them:
+    ``(1-a) log q`` and ``a`` forward, ``a log q`` and ``1-a`` backward at
+    finite order ``a``; ``-log q`` and 1, ``log q`` and -1 at infinite
+    order.  ``log q`` is taken on ``q``'s support and 0 off it.
     ``positive`` is whether ``q > 0`` everywhere.
     """
 
@@ -144,7 +144,8 @@ class _Reference:
         """The reference of the rows ``index`` selects; a shared one as is."""
         if self.probs.ndim == 1:
             return self
-        return _Reference(self.probs[index], self.covered[index], self.offsets[index],
+        return _Reference(self.probs[index], self.covered[index],
+                          [offset[index] for offset in self.offsets],
                           self.factors, self.alpha, self.symmetric, self.positive)
 
 
@@ -159,8 +160,7 @@ def _prepare_reference(q: np.ndarray, alpha: float, symmetric: bool = False) -> 
     else:
         offsets, factors = ((1.0 - alpha) * logq, alpha * logq), (alpha, 1.0 - alpha)
     count = 1 + symmetric
-    return _Reference(q, covered, np.stack(offsets[:count], axis=-2),
-                      np.array(factors[:count])[:, np.newaxis], alpha, symmetric, positive)
+    return _Reference(q, covered, offsets[:count], factors[:count], alpha, symmetric, positive)
 
 
 def _renyi_prepared(p: np.ndarray, ref: _Reference) -> np.ndarray:
@@ -174,14 +174,21 @@ def _renyi_prepared(p: np.ndarray, ref: _Reference) -> np.ndarray:
     is skipped; the arithmetic, and so every bit of the result, is the same.
     """
     positive = ref.positive and p.min(initial=1.0) > 0.0
+    # one (..., V) block of terms per direction, built in place from log p in
+    # the last block: the same values as separate temporaries, in less memory
+    shape = p.shape if ref.probs.ndim == 1 else np.broadcast_shapes(p.shape, ref.probs.shape)
+    terms = np.empty((len(ref.factors),) + shape)
+    logp = terms[-1]
     if positive:
-        logp = np.log(p)
+        np.log(p, out=logp)
     else:
         support = p > 0.0
-        logp = np.log(np.where(support, p, 1.0))
-    terms = logp[..., np.newaxis, :] * ref.factors + ref.offsets
+        np.log(np.where(support, p, 1.0), out=logp)
+    for block, factor, offset in zip(terms, ref.factors, ref.offsets):
+        np.multiply(logp, factor, out=block)
+        block += offset
     if not positive:
-        terms = np.where(support[..., np.newaxis, :], terms, -np.inf)
+        np.copyto(terms, -np.inf, where=~support)
     alpha = ref.alpha
     if math.isinf(alpha):
         total = terms.max(axis=-1)
@@ -189,10 +196,11 @@ def _renyi_prepared(p: np.ndarray, ref: _Reference) -> np.ndarray:
         # Max-shifted log-sum-exp keeps peaked rows representable; the last
         # log is math.log per row, as in the scalar oracle, to match it bit for bit.
         shift = terms.max(axis=-1, keepdims=True)
-        sums = np.exp(terms - shift).sum(axis=-1)
+        terms -= shift
+        sums = np.exp(terms, out=terms).sum(axis=-1)
         logs = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)
         total = (shift[..., 0] + logs.reshape(sums.shape)) / (alpha - 1.0)
-    result = total.max(axis=-1, initial=0.0)
+    result = total.max(axis=0, initial=0.0)
     if not positive:
         missing = support != ref.covered if ref.symmetric else support & ~ref.covered
         result[missing.any(axis=-1)] = math.inf

@@ -144,11 +144,13 @@ class NGramModel(LanguageModel):
             return cached
         size = self.vocab.size
         weights = np.full(size, self.smoothing_k, dtype=np.float64)
-        for token, count in self.counts.get(window, {}).items():
-            if not 0 <= token < size:
-                raise ValueError(f"token id {token!r} after {window!r} is outside the "
-                                 f"vocabulary of {size}")
-            weights[token] += check_nonnegative_int(count, "counts")
+        try:
+            for token, count in self.counts.get(window, {}).items():
+                if not 0 <= token < size:
+                    raise ValueError(f"token id {token!r} is outside the vocabulary of {size}")
+                weights[token] += check_nonnegative_int(count, "counts")
+        except ValueError as err:  # named once per row, not formatted per count
+            raise ValueError(f"{err} in the row after {window!r}") from None
         total = weights.sum()
         if not math.isfinite(total):
             raise ValueError(f"counts after {window!r} total {float(total)}, which is not finite")
@@ -280,11 +282,25 @@ def _model_record(model: NGramModel, role: str, index: int | None = None) -> dic
     return record
 
 
-def _model_from_record(record: dict, vocab: Vocabulary) -> NGramModel:
+def _json_int(value) -> int:
+    """A JSON integer as an int; ``true`` and ``false`` are not integers."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got the boolean {str(value).lower()}")
+    return operator.index(value)
+
+
+def _model_from_record(record: dict, vocab: Vocabulary, booleans: bool) -> NGramModel:
     """The model of a snapshot record, whose window ids, token ids and counts
-    must be JSON integers and whose windows must be ``order - 1`` ids long."""
+    must be JSON integers and whose windows must be ``order - 1`` ids long.
+
+    ``operator.index`` reads a bool as 0 or 1, so a record whose line holds
+    ``true`` or ``false`` (``booleans``) has each value type-tested; a model
+    line holds no free text, and the test would slow every other load."""
+    if booleans and isinstance(record["smoothing_k"], bool):
+        raise TypeError("smoothing_k must be a number, got a boolean")
     model = NGramModel(record["order"], record["smoothing_k"], vocab)
-    index, width, counts = operator.index, model.context_width, model.counts
+    index = _json_int if booleans else operator.index
+    width, counts = model.context_width, model.counts
     for window, slot in record["counts"]:
         key = tuple(window)
         for token in key:
@@ -325,11 +341,12 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
     before the vocab; member indices other than exactly 0..N-1, in any
     order; and members that disagree on order or ``smoothing_k``.  Window
     ids, token ids and counts must be JSON integers, so ``1.5``, ``-0.5``,
-    ``"2"`` and ``Infinity`` are refused rather than rounded, and each
-    window must hold ``order - 1`` ids; a non-finite ``smoothing_k`` is
-    refused too.  The value checks of :class:`NGramModel` (negative counts,
-    counts beyond the float range, tokens outside the vocabulary, row
-    totals) run when a row is first built.
+    ``"2"``, ``Infinity``, ``true`` and ``false`` are refused rather than
+    rounded or read as 1 and 0, and each window must hold ``order - 1``
+    ids; a non-finite or boolean ``smoothing_k`` is refused too.  The value
+    checks of :class:`NGramModel` (negative counts, counts beyond the float
+    range, tokens outside the vocabulary, row totals) run when a row is
+    first built, and their refusal names the row's window.
     """
     vocab = public = None
     members: dict[int, tuple[int, NGramModel]] = {}  # index -> (line, model)
@@ -355,7 +372,7 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
             if vocab is None:
                 raise ValueError(f"{where}: model record precedes the vocab record")
             try:
-                model = _model_from_record(record, vocab)
+                model = _model_from_record(record, vocab, "true" in line or "false" in line)
             except (TypeError, ValueError, OverflowError) as err:  # wrong type or range
                 raise ValueError(f"{where}: {err}") from None
             if role == "public":

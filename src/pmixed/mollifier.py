@@ -13,21 +13,26 @@ row in the ball at weight 1 keeps it; every other row runs the same fixed
 number of halvings (20 at the default tolerance) and returns its bracket's
 lower endpoint, which starts at ``p0`` and moves only to accepted weights.
 
-The search prepares each reference's logarithms once, then takes its
-halvings in rounds: one kernel call evaluates, for every searching row, the
-``2**L - 1`` midpoints that its next ``L`` halvings can visit, built as a
-tree from the row's bracket with each node ``0.5 * (lo + hi)`` of the bracket
-it halves.  The round then replays those halvings from the verdicts, each
-keeping the half that its midpoint's verdict picks.  So every row takes the
-sequential bisection's walk, bit for bit, at any step count and even where
-rounding makes feasibility non-monotone.  ``L`` is the largest that keeps a
-round within ``ROUND_MIXTURES`` mixtures: 4 for a three-row subset, and 1
-from 22 rows up, as in an evaluation block.
+The search prepares each reference's logarithms once.  When a stack's rows
+times halvings fit in ``CERTIFY_MIXTURES``, a float predictor estimates each
+row's weight from the two directed power sums of the ball test.  The
+estimate names a grid point ``k / 2**steps``; the bisection walk that ends
+there visits ``steps`` exact dyadic midpoints, each bit for bit the
+``0.5 * (lo + hi)`` the sequential bisection computes, and one kernel call
+evaluates all of them.  A row whose verdicts all keep to its walk gets
+``k / 2**steps``, which is then by construction the bisection's result.  A
+row with a verdict off its walk goes on from the bracket that its first
+such verdict fixes, one halving per kernel call.  Larger stacks, such as an
+evaluation block, and searches of more than 52 halvings, whose midpoints
+round, run that loop from ``[0, 1]``.  So every weight is the sequential
+bisection's, bit for bit, whatever the predictor returns, at any step count
+and even where rounding makes feasibility non-monotone.  The predictor
+decides only how many kernel calls a search takes: two, the call at weight
+1 included, when it names every row's grid point.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -39,10 +44,11 @@ from .divergence import (Distribution, _as_probs, _matched, _prepare_reference, 
 
 DEFAULT_LAMBDA_TOL = 1e-6
 MAX_BISECTION_STEPS = 100
-# A round evaluates the next L halvings of every searching row in one kernel
-# call, at the 2**L - 1 midpoints those halvings can visit; L is the largest
-# that keeps a round within this many mixtures, and at least 1.
-ROUND_MIXTURES = 64
+# A search of at most this many rows times halvings checks each row's
+# predicted walk in one kernel call.  A larger one, such as an evaluation
+# block, halves once per call from the start: one call over all its walks'
+# mixtures is bound by memory traffic and raises the peak memory.
+CERTIFY_MIXTURES = 512
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,11 @@ def _check_finite_order(alpha) -> float:
 
 
 def _mix_arrays(p: np.ndarray, q: np.ndarray, lam) -> np.ndarray:
-    return lam * p + (1.0 - lam) * q
+    """``lam * p + (1 - lam) * q``, summed in place into the first product,
+    which must have the mixture's shape."""
+    mixed = lam * p
+    mixed += (1.0 - lam) * q
+    return mixed
 
 
 def mix(p, p0, lam) -> Distribution:
@@ -96,16 +106,48 @@ def mollifier_membership(pbar, p0, alpha, beta) -> bool:
     return bool(_in_ball(pa[np.newaxis, :], _prepare_reference(qa, a, symmetric=True), b)[0])
 
 
-@functools.cache
-def _walks(levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """The walks of ``levels`` halvings through a round's midpoint tree: for
-    each of the ``2**levels`` brackets a walk can end in, the columns of the
-    midpoints it visits, one per halving, and whether it keeps the upper
-    half at each."""
-    widths = 2 << np.arange(levels)
-    ends = np.arange(1 << levels)[:, np.newaxis]
-    nodes = ends // widths * widths + widths // 2
-    return nodes - 1, ends >= nodes
+def _newton_on_power_sum(d, refs, e, lam, target, steps):
+    """``steps`` Newton steps in ``log lam`` toward the weight at which the
+    power sum ``sum q (1 + lam d)**e`` exceeds 1 by ``target``.  Each step
+    stays at weight 1 or below, past which a mixture may hold negative
+    entries."""
+    for _ in range(steps):
+        u = 1.0 + lam[:, np.newaxis] * d
+        w = refs * u ** (e - 1.0)
+        excess = (w * u).sum(axis=-1) - 1.0
+        lam = np.minimum(lam * np.exp(np.log(target / excess) * excess
+                                      / (e * lam * (w * d).sum(axis=-1))), 1.0)
+    return lam
+
+
+def _predict_weights(rows, refs, alpha, beta):
+    """A float estimate of each row's largest weight in the ball: the weight
+    at which the larger directed power sum ``sum q (1 + lam d)**e``, with
+    ``d = p/q - 1`` and ``e`` = ``alpha`` forward or ``1 - alpha`` backward,
+    reaches ``exp((alpha - 1) * beta * alpha)``.  Newton steps solve the
+    forward sum; a row whose backward sum is past the bound there solves the
+    backward sum instead.  Only the search's speed depends on the estimate:
+    every weight still comes from the ball's verdicts."""
+    with np.errstate(all="ignore"):
+        d = rows / refs - 1.0
+        target = math.expm1((alpha - 1.0) * alpha * beta)
+        # both sums are 1 + alpha (alpha - 1) / 2 * sum(q d**2) * lam**2 + O(lam**3)
+        lam = np.minimum(np.sqrt(2.0 * target / (alpha * (alpha - 1.0)
+                                                 * (refs * d * d).sum(axis=-1))), 1.0)
+        lam = _newton_on_power_sum(d, refs, alpha, lam, target, 4)
+        back = (refs / (1.0 + lam[:, np.newaxis] * d) ** (alpha - 1.0)).sum(axis=-1)
+        binds = back - 1.0 > target
+        if binds.any():
+            lam[binds] = _newton_on_power_sum(d[binds], refs if refs.ndim == 1 else refs[binds],
+                                              1.0 - alpha, lam[binds], target, 8)
+    return lam
+
+
+def _grid_index(lam, steps):
+    """The index ``k`` of the grid point ``k / 2**steps`` at or below each
+    weight, clipped to ``[0, 2**steps - 1]``; NaN gives 0."""
+    scaled = lam * 2.0**steps
+    return np.minimum(np.where(scaled > 0.0, scaled, 0.0), 2**steps - 1).astype(np.int64)
 
 
 def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.ndarray:
@@ -143,25 +185,40 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
         n = rows.shape[0]
         steps = next((s for s in range(MAX_BISECTION_STEPS) if 0.5**s <= tol),
                      MAX_BISECTION_STEPS)
-        level = max(1, (ROUND_MIXTURES // n + 1).bit_length() - 1)
         # lo starts at p0 itself and moves only to points verified feasible
-        lo, hi, at = np.zeros(n), np.ones(n), np.arange(n)
-        for done in range(0, steps, level):
-            taken = min(level, steps - done)
-            # the round's midpoint tree, one row per node in bracket order:
-            # each node is 0.5 * (lo + hi) of the bracket it halves, as the
-            # sequential bisection computes it
-            tree = np.empty(((1 << taken) + 1, n))
-            tree[0], tree[-1] = lo, hi
-            for d in reversed(range(taken)):
-                w = 2 << d
-                tree[w // 2::w] = 0.5 * (tree[:-1:w] + tree[w::w])
-            ok = _in_ball(_mix_arrays(rows, ref.probs, tree[1:-1].T[..., np.newaxis]), ref, b)
-            # replay the round's halvings: the walk ends in the one bracket
-            # whose every midpoint's verdict keeps the half that holds it
-            nodes, upper = _walks(taken)
-            i = np.all(ok[:, nodes] == upper, axis=-1).argmax(axis=1)
-            lo, hi = tree[i, at], tree[i + 1, at]
+        lo, hi, left = np.zeros(n), np.ones(n), np.full(n, steps)
+        # past 52 halvings a midpoint may round, so a walk's exact dyadics
+        # would no longer be the bisection's midpoints
+        if 0 < steps <= 52 and n * steps <= CERTIFY_MIXTURES:
+            k = _grid_index(_predict_weights(rows[:, 0], ref.probs if shared else ref.probs[:, 0],
+                                             a, b), steps)
+            # the walk that ends at k / 2**steps visits at halving j the exact
+            # dyadic ((k >> (steps - j)) | 1) / 2**j, which is the sequential
+            # bisection's 0.5 * (lo + hi), and keeps the upper half there iff
+            # bit steps - j of k is set
+            prefix = k[:, np.newaxis] >> np.arange(steps - 1, -1, -1)
+            scale = 0.5 ** np.arange(1, steps + 1)
+            ok = _in_ball(_mix_arrays(rows, ref.probs, ((prefix | 1) * scale)[..., np.newaxis]),
+                          ref, b)
+            # a row goes on from its bracket after its first verdict off the
+            # walk; a row whose verdicts all keep to it is done at k / 2**steps
+            wrong = ok != (prefix & 1).astype(bool)
+            first = np.where(wrong.any(axis=1), wrong.argmax(axis=1), steps - 1)
+            at = np.arange(n)
+            lo = (prefix[at, first] & ~1 | ok[at, first]) * scale[first]
+            hi, left = lo + scale[first], steps - 1 - first
+        # then one halving per kernel call for every row with halvings left,
+        # gathering the rows again only once some are done
+        at = np.flatnonzero(left)
+        while at.size:
+            part_rows, part, run = rows[at], ref.take(at), left[at].min()
+            for _ in range(run):
+                mid = 0.5 * (lo[at] + hi[at])
+                ok = _in_ball(_mix_arrays(part_rows, part.probs, mid[:, np.newaxis, np.newaxis]),
+                              part, b)[:, 0]
+                lo[at], hi[at] = np.where(ok, mid, lo[at]), np.where(ok, hi[at], mid)
+            left[at] -= run
+            at = at[left[at] > 0]
         weights[search] = lo
     return weights
 

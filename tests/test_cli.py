@@ -188,6 +188,10 @@ class TestTrainAndPredict:
          "snapshot line 4: 'float' object cannot be interpreted as an integer"),
         ("counts", [[[2, 3], [[3, 1]]]],
          "snapshot line 4: window [2, 3] holds 2 token ids, not order - 1 = 1"),
+        ("counts", [[[2], [[3, True]]]],
+         "snapshot line 4: expected an integer, got the boolean true"),
+        ("counts", [[[False], [[3, 1]]]],
+         "snapshot line 4: expected an integer, got the boolean false"),
     ])
     def test_predict_malformed_snapshot_is_a_usage_error(self, snapshot, capsys, tmp_path,
                                                          field, value, problem):
@@ -222,6 +226,8 @@ class TestTrainAndPredict:
         (3, "counts", [[[2], [[3, math.inf]]]],
          "snapshot line 3: 'float' object cannot be interpreted as an integer"),
         (2, "counts", [[[2], [[3, 10**309]]]], "counts must be a nonnegative integer, got 1000"),
+        (2, "counts", [[[2], [[3, -4]]]],
+         "counts must be a nonnegative integer, got -4 in the row after (2,)"),
     ])
     def test_predict_refuses_non_finite_model_values(self, snapshot, capsys, tmp_path,
                                                      line, field, value, problem):

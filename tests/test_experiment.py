@@ -159,6 +159,15 @@ class TestConfig:
         config.replace(max_seq_len=None).validate()
         config.replace(runs=1, max_seq_len=3).validate()
 
+    @pytest.mark.parametrize("field, value", [("runs", True), ("max_seq_len", True),
+                                              ("T", True), ("order", True), ("seed", False),
+                                              ("n_models", True)])
+    def test_json_booleans_are_not_counts(self, tiny_corpus, field, value):
+        """JSON's true and false are refused, not read as 1 and 0."""
+        data = dict(tiny_corpus["config"], **{field: value})
+        with pytest.raises(ConfigError, match=f"got {value}"):
+            ExperimentConfig.from_dict(data).validate()
+
 
 class TestRunComparison:
     def test_three_arms_and_accounting(self, tiny_corpus):

@@ -162,6 +162,15 @@ class TestNGram:
             model.distribution([1])
         assert model._cache == {}
 
+    @pytest.mark.parametrize("count", [-4, 2.5, True])
+    def test_a_count_refusal_names_its_window(self, vocab, count):
+        model = NGramModel(3, 0.1, vocab, {(1, 2): {3: 1}, (2, 1): {3: count}})
+        model.distribution([1, 2])  # the other row still builds
+        with pytest.raises(ValueError, match=re.escape(
+                f"counts must be a nonnegative integer, got {count!r} in the row after (2, 1)")):
+            model.distribution([2, 1])
+        assert (2, 1) not in model._cache
+
     def test_public_model_builder_matches_training(self, vocab):
         data = [vocab.encode("a b c".split())]
         direct = train_ngram(data, 2, 0.1, vocab)
@@ -384,6 +393,12 @@ class TestSnapshotRefusals:
         ("counts", [[[1], [[2, math.inf]]]], "'float' object cannot be interpreted as an integer"),
         # token ids, window ids and counts are JSON integers, and a window holds order - 1 ids
         ("counts", [[[1], [[2, 1.5]]]], "'float' object cannot be interpreted as an integer"),
+        ("counts", [[[1], [[2, True]]]], "expected an integer, got the boolean true"),
+        ("counts", [[[1], [[False, 1]]]], "expected an integer, got the boolean false"),
+        ("counts", [[[False], [[2, 1]]]], "expected an integer, got the boolean false"),
+        ("order", True, "order must be a positive integer, got True"),
+        ("smoothing_k", True, "smoothing_k must be a number, got a boolean"),
+        ("index", False, "member index must be a nonnegative integer, got False"),
         ("counts", [[[1], [[2, -0.5]]]], "'float' object cannot be interpreted as an integer"),
         ("counts", [[[1], [["2", 1]]]], "'str' object cannot be interpreted as an integer"),
         ("counts", [[[1], [[2.7, 1]]]], "'float' object cannot be interpreted as an integer"),

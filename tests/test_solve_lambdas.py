@@ -244,14 +244,14 @@ def _scalar_weights(rows, refs, alpha, beta, tol):
     return [scalar_lambda(row, ref, alpha, beta, tol) for row, ref in zip(rows, refs)]
 
 
-# every row count at which a round's number of halvings changes, and one past it
-ROUND_SIZE_ROWS = sorted({1, 2, 3, 5, 9, 21, 22, 64, 65, 151}
-                         | {mollifier.ROUND_MIXTURES // (2**level - 1) + extra
-                            for level in range(1, 8) for extra in (0, 1)} - {0})
+# the largest row count whose 20 halvings at TOL are certified in one kernel
+# call, and the next, which halves once per call from the start
+CERTIFIED_ROWS = mollifier.CERTIFY_MIXTURES // 20
+GATE_ROWS = [1, 2, 3, 5, 9, 21, 22, CERTIFIED_ROWS, CERTIFIED_ROWS + 1, 64, 65, 151]
 
 
-@pytest.mark.parametrize("k", ROUND_SIZE_ROWS)
-def test_row_counts_across_round_sizes_match_scalar_bisection(k):
+@pytest.mark.parametrize("k", GATE_ROWS)
+def test_row_counts_across_the_certify_gate_match_scalar_bisection(k):
     rows, p0, refs = _full_support_stack(k, k)
     shared = np.broadcast_to(p0.probs, rows.shape)
     assert solve_lambdas(rows, p0, 3, 0.02).tolist() == _scalar_weights(rows, shared, 3, 0.02, TOL)
@@ -260,9 +260,10 @@ def test_row_counts_across_round_sizes_match_scalar_bisection(k):
 
 @pytest.mark.parametrize("tol", [1e-6, 0.3, 1.0, 1e-300])
 @pytest.mark.parametrize("k", [1, 3, 22])
-def test_step_counts_that_rounds_do_not_divide_match_scalar_bisection(k, tol):
-    """tol 1e-6 takes 20 halvings, 0.3 takes 2, 1.0 none, and 1e-300 the cap of
-    100, whose midpoints past the 53rd may round."""
+def test_step_counts_on_and_off_the_exact_grid_match_scalar_bisection(k, tol):
+    """tol 1e-6 takes 20 halvings and 0.3 takes 2, both from a predicted walk;
+    1.0 takes none; 1e-300 takes the cap of 100, whose midpoints past the 53rd
+    may round, one per kernel call from [0, 1]."""
     rows, p0, refs = _full_support_stack(100 + k, k)
     for beta in (0.3, 0.002):
         for ref in (p0, refs):
@@ -317,10 +318,8 @@ def test_zero_radius_keeps_only_rows_equal_to_their_reference(k):
     assert solve_lambdas(rows, refs, 3, 0.0).tolist() == [0.0] * (k - 1) + [1.0]
 
 
-def test_three_row_search_takes_at_most_eight_kernel_calls(monkeypatch):
-    """One call at weight 1, then rounds of several halvings each: at most 8
-    kernel calls for the 20 halvings of tol 1e-6, where one halving per call
-    would make 21."""
+def _counting_kernel(monkeypatch) -> list:
+    """Patch the divergence kernel to count its calls; returns the count list."""
     calls = []
     kernel = mollifier._renyi_prepared
 
@@ -329,7 +328,64 @@ def test_three_row_search_takes_at_most_eight_kernel_calls(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(mollifier, "_renyi_prepared", counted)
-    rows, p0, _ = _full_support_stack(3, 3)
-    weights = solve_lambdas(rows, p0, 3, 0.02, 1e-6)
-    assert np.all((0.0 < weights) & (weights < 1.0))  # every row searched
-    assert 2 <= len(calls) <= 8
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_three_row_search_takes_two_kernel_calls(monkeypatch, seed):
+    """One call at weight 1, then one call that certifies every row's
+    predicted walk: 2 kernel calls for the 20 halvings of tol 1e-6, where one
+    halving per call would make 21."""
+    calls = _counting_kernel(monkeypatch)
+    rows, p0, refs = _full_support_stack(seed, 3)
+    for ref in (p0, refs):
+        calls.clear()
+        weights = solve_lambdas(rows, ref, 3, 0.02, 1e-6)
+        assert np.all((0.0 < weights) & (weights < 1.0))  # every row searched
+        assert len(calls) == 2
+
+
+# what a predictor may return, given each row's true weight
+PREDICTIONS = {
+    "zero": lambda true, rng: np.zeros_like(true),
+    "one": lambda true, rng: np.ones_like(true),
+    "nan": lambda true, rng: np.full_like(true, np.nan),
+    "random": lambda true, rng: rng.random(true.shape),
+    "grid step up": lambda true, rng: true + 2.0**-20,
+    "grid step down": lambda true, rng: true - 2.0**-20,
+}
+
+
+@pytest.mark.parametrize("guess", PREDICTIONS)
+@pytest.mark.parametrize("k", [1, 2, 3, 21, 22, 25, 26, 65])
+def test_any_prediction_gives_the_sequential_bisection(monkeypatch, k, guess):
+    """Certification needs no proof that the predictor is right.  Whatever it
+    returns, every weight equals the scalar bisection's bit for bit.  A row's
+    walk costs one kernel call, and a row whose predicted grid index first
+    differs from its weight's in bit i goes on from the bracket that the
+    wrong verdict fixes, so it takes i more halvings, not a restart from
+    [0, 1].  A stack past the gate never asks the predictor and takes 20."""
+    rng = np.random.default_rng(k)
+    calls = _counting_kernel(monkeypatch)
+    asked = []
+
+    def predict(rows, refs, alpha, beta):
+        true = np.array(_scalar_weights(rows, np.broadcast_to(refs, rows.shape), alpha, beta, TOL))
+        asked.append((true, PREDICTIONS[guess](true, rng)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(mollifier, "_predict_weights", predict)
+    rows, p0, refs = _full_support_stack(400 + k, k)
+    for ref, per_row in ((p0, np.broadcast_to(p0.probs, rows.shape)), (refs, refs)):
+        calls.clear()
+        asked.clear()
+        weights = solve_lambdas(rows, ref, 3, 0.02)
+        assert weights.tolist() == _scalar_weights(rows, per_row, 3, 0.02, TOL)
+        assert np.all(weights < 1.0)  # every row searched
+        if k > CERTIFIED_ROWS:
+            assert not asked and len(calls) == 1 + 20
+            continue
+        (true, guessed), = asked
+        named = np.clip(np.nan_to_num(guessed, nan=0.0) * 2**20, 0, 2**20 - 1).astype(int)
+        extra = [(int(n) ^ int(t * 2**20)).bit_length() - 1 for n, t in zip(named, true)]
+        assert len(calls) == 2 + max(0, *extra)

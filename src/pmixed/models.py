@@ -282,25 +282,11 @@ def _model_record(model: NGramModel, role: str, index: int | None = None) -> dic
     return record
 
 
-def _json_int(value) -> int:
-    """A JSON integer as an int; ``true`` and ``false`` are not integers."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got the boolean {str(value).lower()}")
-    return operator.index(value)
-
-
-def _model_from_record(record: dict, vocab: Vocabulary, booleans: bool) -> NGramModel:
+def _model_from_record(record: dict, vocab: Vocabulary) -> NGramModel:
     """The model of a snapshot record, whose window ids, token ids and counts
-    must be JSON integers and whose windows must be ``order - 1`` ids long.
-
-    ``operator.index`` reads a bool as 0 or 1, so a record whose line holds
-    ``true`` or ``false`` (``booleans``) has each value type-tested; a model
-    line holds no free text, and the test would slow every other load."""
-    if booleans and isinstance(record["smoothing_k"], bool):
-        raise TypeError("smoothing_k must be a number, got a boolean")
+    must be JSON integers and whose windows must be ``order - 1`` ids long."""
     model = NGramModel(record["order"], record["smoothing_k"], vocab)
-    index = _json_int if booleans else operator.index
-    width, counts = model.context_width, model.counts
+    index, width, counts = operator.index, model.context_width, model.counts
     for window, slot in record["counts"]:
         key = tuple(window)
         for token in key:
@@ -341,9 +327,10 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
     before the vocab; member indices other than exactly 0..N-1, in any
     order; and members that disagree on order or ``smoothing_k``.  Window
     ids, token ids and counts must be JSON integers, so ``1.5``, ``-0.5``,
-    ``"2"``, ``Infinity``, ``true`` and ``false`` are refused rather than
-    rounded or read as 1 and 0, and each window must hold ``order - 1``
-    ids; a non-finite or boolean ``smoothing_k`` is refused too.  The value
+    ``"2"`` and ``Infinity`` are refused rather than rounded, and each
+    window must hold ``order - 1`` ids; a non-finite ``smoothing_k`` is
+    refused too.  A model record holds no ``true`` or ``false``, which
+    would otherwise be read as 1 and 0.  The value
     checks of :class:`NGramModel` (negative counts, counts beyond the float
     range, tokens outside the vocabulary, row totals) run when a row is
     first built, and their refusal names the row's window.
@@ -371,8 +358,12 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
                 continue
             if vocab is None:
                 raise ValueError(f"{where}: model record precedes the vocab record")
+            # operator.index reads a bool as 0 or 1, and no field of a model
+            # record is a boolean or free text, so the line is refused whole
+            if "true" in line or "false" in line:
+                raise ValueError(f"{where}: a model record holds no booleans")
             try:
-                model = _model_from_record(record, vocab, "true" in line or "false" in line)
+                model = _model_from_record(record, vocab)
             except (TypeError, ValueError, OverflowError) as err:  # wrong type or range
                 raise ValueError(f"{where}: {err}") from None
             if role == "public":

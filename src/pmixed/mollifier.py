@@ -14,10 +14,10 @@ number of halvings (20 at the default tolerance) and returns its bracket's
 lower endpoint, which starts at ``p0`` and moves only to accepted weights.
 
 The search prepares each reference's logarithms once.  When a stack's rows
-times halvings fit in ``CERTIFY_MIXTURES``, a float predictor estimates each
-row's weight from the two directed power sums of the ball test.  The
-estimate names a grid point ``k / 2**steps``; the bisection walk that ends
-there visits ``steps`` exact dyadic midpoints, each bit for bit the
+times halvings times tokens fit in ``CERTIFY_ELEMENTS``, a float predictor
+estimates each row's weight from the two directed power sums of the ball
+test.  The estimate names a grid point ``k / 2**steps``; the bisection walk
+that ends there visits ``steps`` exact dyadic midpoints, each bit for bit the
 ``0.5 * (lo + hi)`` the sequential bisection computes, and one kernel call
 evaluates all of them.  A row whose verdicts all keep to its walk gets
 ``k / 2**steps``, which is then by construction the bisection's result.  A
@@ -44,11 +44,12 @@ from .divergence import (Distribution, _as_probs, _matched, _prepare_reference, 
 
 DEFAULT_LAMBDA_TOL = 1e-6
 MAX_BISECTION_STEPS = 100
-# A search of at most this many rows times halvings checks each row's
-# predicted walk in one kernel call.  A larger one, such as an evaluation
-# block, halves once per call from the start: one call over all its walks'
-# mixtures is bound by memory traffic and raises the peak memory.
-CERTIFY_MIXTURES = 512
+# A search of at most this many rows times halvings times tokens checks each
+# row's predicted walk in one kernel call: 512 mixtures over 49 tokens.  A
+# larger one, such as an evaluation block, halves once per call from the
+# start: one call over all its walks' mixtures is bound by memory traffic and
+# raises the peak memory, and both grow with the vocabulary.
+CERTIFY_ELEMENTS = 512 * 49
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,8 @@ def _predict_weights(rows, refs, alpha, beta):
     every weight still comes from the ball's verdicts."""
     with np.errstate(all="ignore"):
         d = rows / refs - 1.0
-        target = math.expm1((alpha - 1.0) * alpha * beta)
+        # inf past the float range; the walk's verdicts then correct the guess
+        target = np.expm1((alpha - 1.0) * alpha * beta)
         # both sums are 1 + alpha (alpha - 1) / 2 * sum(q d**2) * lam**2 + O(lam**3)
         lam = np.minimum(np.sqrt(2.0 * target / (alpha * (alpha - 1.0)
                                                  * (refs * d * d).sum(axis=-1))), 1.0)
@@ -189,7 +191,7 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
         lo, hi, left = np.zeros(n), np.ones(n), np.full(n, steps)
         # past 52 halvings a midpoint may round, so a walk's exact dyadics
         # would no longer be the bisection's midpoints
-        if 0 < steps <= 52 and n * steps <= CERTIFY_MIXTURES:
+        if 0 < steps <= 52 and n * steps * rows.shape[-1] <= CERTIFY_ELEMENTS:
             k = _grid_index(_predict_weights(rows[:, 0], ref.probs if shared else ref.probs[:, 0],
                                              a, b), steps)
             # the walk that ends at k / 2**steps visits at halving j the exact

@@ -189,9 +189,9 @@ class TestTrainAndPredict:
         ("counts", [[[2, 3], [[3, 1]]]],
          "snapshot line 4: window [2, 3] holds 2 token ids, not order - 1 = 1"),
         ("counts", [[[2], [[3, True]]]],
-         "snapshot line 4: expected an integer, got the boolean true"),
+         "snapshot line 4: a model record holds no booleans"),
         ("counts", [[[False], [[3, 1]]]],
-         "snapshot line 4: expected an integer, got the boolean false"),
+         "snapshot line 4: a model record holds no booleans"),
     ])
     def test_predict_malformed_snapshot_is_a_usage_error(self, snapshot, capsys, tmp_path,
                                                          field, value, problem):

@@ -393,12 +393,13 @@ class TestSnapshotRefusals:
         ("counts", [[[1], [[2, math.inf]]]], "'float' object cannot be interpreted as an integer"),
         # token ids, window ids and counts are JSON integers, and a window holds order - 1 ids
         ("counts", [[[1], [[2, 1.5]]]], "'float' object cannot be interpreted as an integer"),
-        ("counts", [[[1], [[2, True]]]], "expected an integer, got the boolean true"),
-        ("counts", [[[1], [[False, 1]]]], "expected an integer, got the boolean false"),
-        ("counts", [[[False], [[2, 1]]]], "expected an integer, got the boolean false"),
-        ("order", True, "order must be a positive integer, got True"),
-        ("smoothing_k", True, "smoothing_k must be a number, got a boolean"),
-        ("index", False, "member index must be a nonnegative integer, got False"),
+        # operator.index reads true and false as 1 and 0, so no model record holds them
+        ("counts", [[[1], [[2, True]]]], "a model record holds no booleans"),
+        ("counts", [[[1], [[False, 1]]]], "a model record holds no booleans"),
+        ("counts", [[[False], [[2, 1]]]], "a model record holds no booleans"),
+        ("order", True, "a model record holds no booleans"),
+        ("smoothing_k", True, "a model record holds no booleans"),
+        ("index", False, "a model record holds no booleans"),
         ("counts", [[[1], [[2, -0.5]]]], "'float' object cannot be interpreted as an integer"),
         ("counts", [[[1], [["2", 1]]]], "'str' object cannot be interpreted as an integer"),
         ("counts", [[[1], [[2.7, 1]]]], "'float' object cannot be interpreted as an integer"),

@@ -244,9 +244,10 @@ def _scalar_weights(rows, refs, alpha, beta, tol):
     return [scalar_lambda(row, ref, alpha, beta, tol) for row, ref in zip(rows, refs)]
 
 
-# the largest row count whose 20 halvings at TOL are certified in one kernel
-# call, and the next, which halves once per call from the start
-CERTIFIED_ROWS = mollifier.CERTIFY_MIXTURES // 20
+# the largest row count whose 20 halvings at TOL over the 12 tokens of
+# _full_support_stack are certified in one kernel call, and the next, which
+# halves once per call from the start
+CERTIFIED_ROWS = mollifier.CERTIFY_ELEMENTS // (20 * 12)
 GATE_ROWS = [1, 2, 3, 5, 9, 21, 22, CERTIFIED_ROWS, CERTIFIED_ROWS + 1, 64, 65, 151]
 
 
@@ -357,7 +358,7 @@ PREDICTIONS = {
 
 
 @pytest.mark.parametrize("guess", PREDICTIONS)
-@pytest.mark.parametrize("k", [1, 2, 3, 21, 22, 25, 26, 65])
+@pytest.mark.parametrize("k", [1, 2, 3, 21, 22, 25, 26, 65, CERTIFIED_ROWS + 1])
 def test_any_prediction_gives_the_sequential_bisection(monkeypatch, k, guess):
     """Certification needs no proof that the predictor is right.  Whatever it
     returns, every weight equals the scalar bisection's bit for bit.  A row's
@@ -389,3 +390,31 @@ def test_any_prediction_gives_the_sequential_bisection(monkeypatch, k, guess):
         named = np.clip(np.nan_to_num(guessed, nan=0.0) * 2**20, 0, 2**20 - 1).astype(int)
         extra = [(int(n) ^ int(t * 2**20)).bit_length() - 1 for n, t in zip(named, true)]
         assert len(calls) == 2 + max(0, *extra)
+
+
+@pytest.mark.parametrize("size, certified", [(12, True), (418, True), (419, False), (5000, False)])
+def test_the_certify_gate_counts_tokens(monkeypatch, size, certified):
+    """The gate budgets rows times halvings times tokens: three rows at 20
+    halvings are certified in one call over at most 418 tokens and halve once
+    per call from the start over more."""
+    calls = _counting_kernel(monkeypatch)
+    rows, p0, refs = _full_support_stack(500 + size, 3, size)
+    for ref, per_row in ((p0, np.broadcast_to(p0.probs, rows.shape)), (refs, refs)):
+        calls.clear()
+        weights = solve_lambdas(rows, ref, 3, 0.02)
+        assert weights.tolist() == _scalar_weights(rows, per_row, 3, 0.02, TOL)
+        assert np.all(weights < 1.0)  # every row searched
+        assert (len(calls) < 1 + 20) == certified
+
+
+@pytest.mark.parametrize("alpha, beta", [(3, 200), (100, 8), (2, 1e308)])
+def test_a_radius_past_the_float_range_gives_the_sequential_bisection(alpha, beta):
+    """The predictor's bound overflows to inf at such radii; a row outside
+    the ball, here one with mass where its reference has none, still gets
+    the scalar bisection's weight."""
+    ref = np.array([0.5, 0.5, 0.0])
+    rows = np.array([[0.25, 0.25, 0.5], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    assert solve_lambdas(rows, ref, alpha, beta).tolist() \
+        == _scalar_weights(rows, [ref] * 3, alpha, beta, TOL)
+    assert solve_lambdas([[0.5, 0.5]], [1.0, 0.0], alpha, beta).tolist() \
+        == [scalar_lambda(np.array([0.5, 0.5]), np.array([1.0, 0.0]), alpha, beta, TOL)]

@@ -10,12 +10,13 @@ Records every ``solve_lambdas`` call that the answer path makes in
 Serve sessions generate 16 tokens from each two-token prompt drawn from the
 test corpus, feeding every sampled token back.  The recorded calls are then
 replayed and, per workload, the script prints the number of calls, the mean
-rows per call, the divergence-kernel calls per solve, the share of searched
-rows (those below weight 1) whose predicted walk certified, the kernel
-calls per solve that the one-halving loop made after a walk failed or in
-place of one, the median over repeats of the microseconds per solve, and a
-digest of every returned weight, which a change that only makes the search
-faster must not move.
+rows per call, the ball-test (``_in_ball``) calls per solve, the share of
+searched rows (those below weight 1) whose predicted walk certified, the
+ball-test calls per solve that the one-halving loop made after a walk
+failed or in place of one, the share of tested mixtures that the exact
+divergence kernel decided rather than the power sums, the median over
+repeats of the microseconds per solve, and a digest of every returned
+weight, which a change that only makes the search faster must not move.
 
 Usage: python scripts/bench_projection.py [--repeats R] [--seed S]
 Run it from the repository root: the fixture config names its corpora by
@@ -91,30 +92,33 @@ def _serve_calls(config: ExperimentConfig, name: str, seed: int) -> list[tuple]:
     return _recording(run)
 
 
-def _kernel_calls(calls: list[tuple]) -> tuple[int, int, int, int, str]:
-    """Divergence-kernel calls over one replay, counted on every ``_renyi*``
-    function that the mollifier imports; the searched rows and those whose
-    predicted grid point was their weight, so that one kernel call certified
-    their walk; the predicted walks; and the digest of the weights."""
-    count = walks = searched = certified = 0
-    originals = {name: fn for name, fn in vars(mollifier).items() if name.startswith("_renyi")}
+def _verdict_calls(calls: list[tuple]) -> tuple[int, int, int, int, float, str]:
+    """Ball-test calls over one replay; the predicted walks; the searched rows
+    and those whose predicted grid point was their weight, so that one call
+    certified their walk; the share of tested mixtures that the exact kernel
+    decided; and the digest of the weights."""
+    count = walks = searched = certified = tested = exact = 0
+    originals = {"_in_ball": mollifier._in_ball, "_renyi_prepared": mollifier._renyi_prepared}
     grid_index = mollifier._grid_index
     named = []
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            nonlocal count
-            count += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def in_ball(mixtures, ref, beta):
+        nonlocal count, tested
+        count += 1
+        tested += mixtures[..., 0].size
+        return originals["_in_ball"](mixtures, ref, beta)
+
+    def kernel(mixtures, ref):
+        nonlocal exact
+        exact += mixtures[..., 0].size
+        return originals["_renyi_prepared"](mixtures, ref)
 
     def recorded(lam, steps):
         named.append((grid_index(lam, steps), steps))
         return named[-1][0]
 
     digest = hashlib.sha256()
-    for name, fn in originals.items():
-        setattr(mollifier, name, counted(fn))
+    mollifier._in_ball, mollifier._renyi_prepared = in_ball, kernel
     mollifier._grid_index = recorded
     try:
         for args in calls:
@@ -130,7 +134,7 @@ def _kernel_calls(calls: list[tuple]) -> tuple[int, int, int, int, str]:
         for name, fn in originals.items():
             setattr(mollifier, name, fn)
         mollifier._grid_index = grid_index
-    return count, walks, searched, certified, digest.hexdigest()[:16]
+    return count, walks, searched, certified, exact / max(tested, 1), digest.hexdigest()[:16]
 
 
 def _us_per_solve(calls: list[tuple], repeats: int) -> float:
@@ -153,16 +157,17 @@ def main(argv=None) -> int:
     config = ExperimentConfig.from_file(CONFIG).replace(runs=1)
     workloads = {name: _serve_calls(config, name, args.seed) for name in SERVE}
     workloads["compare"] = _recording(lambda: run_comparison(config))
-    print(f"{'workload':<20} {'calls':>6} {'rows/call':>9} {'kernel/solve':>12} "
-          f"{'certified':>9} {'loop/solve':>10} {'us/solve':>9}  weights")
+    print(f"{'workload':<20} {'calls':>6} {'rows/call':>9} {'tests/solve':>11} "
+          f"{'certified':>9} {'loop/solve':>10} {'exact':>9} {'us/solve':>9}  weights")
     for name, calls in workloads.items():
         rows = np.mean([len(c[0]) for c in calls])
-        kernel, walks, searched, certified, digest = _kernel_calls(calls)
+        tests, walks, searched, certified, exact, digest = _verdict_calls(calls)
         # each solve makes one call at weight 1 and one per predicted walk
-        loop = (kernel - len(calls) - walks) / len(calls)
+        loop = (tests - len(calls) - walks) / len(calls)
         us = _us_per_solve(calls, args.repeats)
-        print(f"{name:<20} {len(calls):>6} {rows:>9.1f} {kernel / len(calls):>12.2f} "
-              f"{certified / max(searched, 1):>9.3f} {loop:>10.2f} {us:>9.1f}  {digest}")
+        print(f"{name:<20} {len(calls):>6} {rows:>9.1f} {tests / len(calls):>11.2f} "
+              f"{certified / max(searched, 1):>9.3f} {loop:>10.2f} {exact:>9.2e} {us:>9.1f}  "
+              f"{digest}")
     return 0
 
 

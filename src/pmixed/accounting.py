@@ -20,6 +20,7 @@ rejected rather than approximated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -91,15 +92,21 @@ def check_nonnegative_int(value, name: str) -> int:
     return count
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number.  A bool is not: JSON's ``true`` is
+    refused, not read as 1, as is text such as ``"8"``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_positive(value, name: str) -> None:
     """Validate a positive number, such as a budget ``eps_g`` or a search tolerance."""
-    if not value > 0.0:
+    if not (_real(value) and value > 0.0):
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def check_probability(value, name: str, *, allow_one: bool) -> None:
     """Validate a probability in (0, 1], or in (0, 1) when ``allow_one`` is false."""
-    if not (0.0 < value <= 1.0 if allow_one else 0.0 < value < 1.0):
+    if not (_real(value) and (0.0 < value <= 1.0 if allow_one else 0.0 < value < 1.0)):
         raise ValueError(f"{name} must lie in (0, 1{']' if allow_one else ')'}, got {value!r}")
 
 

@@ -35,6 +35,7 @@ from .models import (
     LanguageModel,
     Vocabulary,
     build_public_model,
+    check_smoothing,
     load_corpus,
     partition_corpus,
     train_ngram,
@@ -125,6 +126,7 @@ class ExperimentConfig:
             if self.max_seq_len is not None:
                 ints["max_seq_len"] = check_positive_int(self.max_seq_len, "max_seq_len")
             params = self.params()
+            check_smoothing(self.smoothing_k)
             ints.update(T=params.T, alpha=params.alpha, n_models=params.N,
                         order=check_positive_int(self.order, "order"),
                         seed=check_nonnegative_int(self.seed, "seed"))

@@ -29,6 +29,14 @@ from .divergence import Distribution
 UNKNOWN_TOKEN = "<unk>"
 
 
+def check_smoothing(smoothing_k) -> float:
+    """Validate an add-k smoothing constant: a finite positive number."""
+    check_positive(smoothing_k, "smoothing_k")
+    if math.isinf(smoothing_k):
+        raise ValueError(f"smoothing_k must be finite, got {smoothing_k!r}")
+    return float(smoothing_k)
+
+
 class Vocabulary:
     """Ordered token inventory with a reserved unknown token at id 0."""
 
@@ -119,11 +127,8 @@ class NGramModel(LanguageModel):
     def __init__(self, order: int, smoothing_k: float, vocab: Vocabulary,
                  counts: dict[tuple[int, ...], dict[int, int]] | None = None):
         self.order = check_positive_int(order, "order")
-        check_positive(smoothing_k, "smoothing_k")
-        if math.isinf(smoothing_k):
-            raise ValueError(f"smoothing_k must be finite, got {smoothing_k!r}")
         self.context_width = self.order - 1
-        self.smoothing_k = float(smoothing_k)
+        self.smoothing_k = check_smoothing(smoothing_k)
         self.vocab = vocab
         self.counts = counts if counts is not None else {}
         self._cache: dict[tuple[int, ...], Distribution] = {}

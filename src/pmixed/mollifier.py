@@ -18,17 +18,59 @@ times halvings times tokens fit in ``CERTIFY_ELEMENTS``, a float predictor
 estimates each row's weight from the two directed power sums of the ball
 test.  The estimate names a grid point ``k / 2**steps``; the bisection walk
 that ends there visits ``steps`` exact dyadic midpoints, each bit for bit the
-``0.5 * (lo + hi)`` the sequential bisection computes, and one kernel call
+``0.5 * (lo + hi)`` the sequential bisection computes, and one ball test
 evaluates all of them.  A row whose verdicts all keep to its walk gets
 ``k / 2**steps``, which is then by construction the bisection's result.  A
 row with a verdict off its walk goes on from the bracket that its first
-such verdict fixes, one halving per kernel call.  Larger stacks, such as an
+such verdict fixes, one halving per ball test.  Larger stacks, such as an
 evaluation block, and searches of more than 52 halvings, whose midpoints
 round, run that loop from ``[0, 1]``.  So every weight is the sequential
 bisection's, bit for bit, whatever the predictor returns, at any step count
 and even where rounding makes feasibility non-monotone.  The predictor
-decides only how many kernel calls a search takes: two, the call at weight
+decides only how many ball tests a search takes: two, the test at weight
 1 included, when it names every row's grid point.
+
+The ball test (``_in_ball``) runs the divergence kernel only where it must.
+At an integer order it needs no logarithm.  With ``n = alpha - 1``
+and ``tau = n * beta * alpha``, the directed power sums
+``S_fwd = sum p (p/q)**n`` and ``S_bwd = sum q (q/p)**n = sum q / (p/q)**n``
+are ``exp(n D)`` of the two directed divergences, so a mixture is in the ball
+iff ``max(S_fwd, S_bwd) <= exp(tau)``.  ``_in_ball`` computes both sums with
+integer powers by repeated squaring (the backward one from ``q/p``, so that
+a power that underflows loses only an absolute amount) and lets them decide
+every mixture whose larger sum lies outside ``exp(tau -+ M)``.  The rest go
+to the kernel, as does every case the sums do not cover: a zero in a mixture
+or its reference (a sum is then inf or NaN), a sum that overflows, radius 0,
+a non-integer order, and a margin ``M`` above ``2**-20`` (an order past
+about 3600, over 4 million tokens, or ``tau`` past about 3e6).  So every
+verdict is the kernel's.
+
+The margin comes from a bound, in log space, on both forms.  Let every float
+operation, NumPy's ``log`` and ``exp`` included, be within a relative
+``rho = 2**-50`` (4 units in the last place), and let ``V`` be the tokens.
+- Power sums: a term rounds at most ``2n + 1`` times (the ratio, counted
+  ``n`` times in its power, ``n - 1`` products and the factor), and a sum of
+  ``V`` positive terms ``V - 1`` times more: ``|log S_hat - log S| <=
+  1.01 (2 alpha + V) rho``.  An underflowed power is off by under 2**-1000,
+  which no sum that can be called in or out notices.
+- Kernel: every entry is a positive float up to ``1 + 1e-9``, so its log is
+  at most 745 in magnitude and a term ``alpha log p + (1 - alpha) log q`` is
+  off by at most ``6.1 * 745 alpha rho``.  Subtracting the shift adds at
+  most ``746 rho`` to each term that does not underflow, ``exp`` ``rho``,
+  the sum ``1.01 (V - 1) rho`` and its log at most ``V rho``: the kernel's
+  ``n D`` is within ``(4545 alpha + 748 + 2.01 V) rho`` of ``log S``.
+- Thresholds: ``tau``, ``tau -+ M``, their ``exp``, and the kernel's
+  addition of the shift and division by ``n`` add at most ``(4.1 tau + 2) rho``.
+Together that is below ``(4550 alpha + 3.1 V + 4.1 tau + 750) rho``; the
+margin ``M = 2**-44 (4600 alpha + 4 V + 5 tau + 800)`` is 64 times as large,
+which is 8.4e-10 at the benchmark's order 3 over 49 tokens.  The lower end
+is taken at ``exp(min(tau - M, 709))``, where ``exp`` is finite; that only
+lowers it, so past the float range a sum is called in when it is finite and
+below ``e**709``, and goes to the kernel otherwise, never out.  A mixture
+bitwise equal to its reference is in at any radius above 0, even when its
+sum, and so both of its power sums, is off 1 by up to
+``NORMALIZATION_ATOL``: no sum up to ``1 + 2 NORMALIZATION_ATOL + V 2**-50``
+is called out.
 """
 
 from __future__ import annotations
@@ -39,13 +81,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import _check_radius, check_positive
-from .divergence import (Distribution, _as_probs, _matched, _prepare_reference, _Reference,
-                         _renyi_prepared, check_order, check_probabilities)
+from .divergence import (NORMALIZATION_ATOL, Distribution, _as_probs, _matched,
+                         _prepare_reference, _Reference, _renyi_prepared, check_order,
+                         check_probabilities)
 
 DEFAULT_LAMBDA_TOL = 1e-6
 MAX_BISECTION_STEPS = 100
 # A search of at most this many rows times halvings times tokens checks each
-# row's predicted walk in one kernel call: 512 mixtures over 49 tokens.  A
+# row's predicted walk in one ball test: 512 mixtures over 49 tokens.  A
 # larger one, such as an evaluation block, halves once per call from the
 # start: one call over all its walks' mixtures is bound by memory traffic and
 # raises the peak memory, and both grow with the vocabulary.
@@ -89,13 +132,56 @@ def mix(p, p0, lam) -> Distribution:
     return Distribution._already_normalized(_mix_arrays(pa, qa, lam))
 
 
+def _power_sum(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """``sum p (p/q)**n`` along the last axis, the power by repeated squaring."""
+    base, term = p / q, None
+    while True:
+        if n & 1:
+            term = base * p if term is None else np.multiply(term, base, out=term)
+        n >>= 1
+        if not n:
+            return term.sum(axis=-1)
+        np.multiply(base, base, out=base)
+
+
+def _power_sum_verdicts(mixtures: np.ndarray, ref: _Reference, bound: float):
+    """The ball test from the two directed power sums at an integer order, as
+    ``(inside, unsure)`` per mixture: ``inside`` is the verdict wherever
+    ``unsure`` is false.  None where the sums do not apply (see the module
+    docstring for the sums, their error bound and the margin)."""
+    alpha, size = ref.alpha, mixtures.shape[-1]
+    tau = (alpha - 1.0) * bound
+    margin = 2.0**-44 * (4600.0 * alpha + 4.0 * size + 5.0 * tau + 800.0)
+    if not (ref.positive and alpha.is_integer() and margin <= 2.0**-20):
+        return None
+    inside_at = math.exp(min(tau - margin, 709.0))
+    outside_at = max(math.exp(tau + margin) if tau + margin < 709.0 else math.inf,
+                     1.0 + 2.0 * NORMALIZATION_ATOL + size * 2.0**-50)
+    with np.errstate(all="ignore"):
+        n = int(alpha) - 1
+        sums = np.maximum(_power_sum(mixtures, ref.probs, n), _power_sum(ref.probs, mixtures, n))
+    inside = sums <= inside_at
+    # NaN (0/0) is neither in nor out; inf (a zero, an overflow) is never called out
+    return inside, ~(inside | (sums >= outside_at) & (sums < math.inf))
+
+
 def _in_ball(mixtures: np.ndarray, ref: _Reference, beta: float) -> np.ndarray:
     """The RD-mollifier set: whether each ``(..., V)`` mixture is within symmetric
     divergence ``beta * alpha`` of ``ref``.  A divergence below float precision
-    rounds to 0, so at radius 0 only the reference itself, bit for bit, is in."""
+    rounds to 0, so at radius 0 only the reference itself, bit for bit, is in.
+    The power sums decide what they can; the kernel decides the rest."""
     if beta == 0.0:
         return np.all(mixtures == ref.probs, axis=-1)
-    return _renyi_prepared(mixtures, ref) <= beta * ref.alpha
+    bound = beta * ref.alpha
+    cheap = _power_sum_verdicts(mixtures, ref, bound)
+    if cheap is None:
+        return _renyi_prepared(mixtures, ref) <= bound
+    inside, unsure = cheap
+    if unsure.any():
+        part = ref if ref.probs.ndim == 1 else _prepare_reference(
+            np.broadcast_to(ref.probs, mixtures.shape)[unsure], ref.alpha, symmetric=True)
+        inside[unsure] = _renyi_prepared(mixtures[unsure], part) <= bound
+    return inside
 
 
 def mollifier_membership(pbar, p0, alpha, beta) -> bool:
@@ -121,14 +207,31 @@ def _newton_on_power_sum(d, refs, e, lam, target, steps):
     return lam
 
 
+def _newton_on_power_mean(d, refs, e, lam, goal, steps):
+    """``steps`` Newton steps toward the weight at which the power sum
+    ``sum q (1 + lam d)**e`` reaches ``goal``, taken on its power mean
+    ``(sum q (1 + lam d)**e)**(1/e)``.  For ``e < 0`` that mean is concave
+    in the weight and nearly linear where one entry's pole is close, so from
+    a weight above the one sought the steps close in from above, where the
+    forward sum's steps in ``log lam`` stall.  Each stays at weight 1 or
+    below."""
+    for _ in range(steps):
+        u = 1.0 + lam[:, np.newaxis] * d
+        w = refs * u ** (e - 1.0)
+        total = (w * u).sum(axis=-1)
+        lam = np.minimum(lam - (1.0 - (goal / total) ** (1.0 / e)) * total
+                         / (w * d).sum(axis=-1), 1.0)
+    return lam
+
+
 def _predict_weights(rows, refs, alpha, beta):
     """A float estimate of each row's largest weight in the ball: the weight
     at which the larger directed power sum ``sum q (1 + lam d)**e``, with
     ``d = p/q - 1`` and ``e`` = ``alpha`` forward or ``1 - alpha`` backward,
     reaches ``exp((alpha - 1) * beta * alpha)``.  Newton steps solve the
     forward sum; a row whose backward sum is past the bound there solves the
-    backward sum instead.  Only the search's speed depends on the estimate:
-    every weight still comes from the ball's verdicts."""
+    backward sum from that weight instead.  Only the search's speed depends
+    on the estimate: every weight still comes from the ball's verdicts."""
     with np.errstate(all="ignore"):
         d = rows / refs - 1.0
         # inf past the float range; the walk's verdicts then correct the guess
@@ -140,8 +243,8 @@ def _predict_weights(rows, refs, alpha, beta):
         back = (refs / (1.0 + lam[:, np.newaxis] * d) ** (alpha - 1.0)).sum(axis=-1)
         binds = back - 1.0 > target
         if binds.any():
-            lam[binds] = _newton_on_power_sum(d[binds], refs if refs.ndim == 1 else refs[binds],
-                                              1.0 - alpha, lam[binds], target, 8)
+            lam[binds] = _newton_on_power_mean(d[binds], refs if refs.ndim == 1 else refs[binds],
+                                               1.0 - alpha, lam[binds], target + 1.0, 4)
     return lam
 
 
@@ -209,7 +312,7 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
             at = np.arange(n)
             lo = (prefix[at, first] & ~1 | ok[at, first]) * scale[first]
             hi, left = lo + scale[first], steps - 1 - first
-        # then one halving per kernel call for every row with halvings left,
+        # then one halving per ball test for every row with halvings left,
         # gathering the rows again only once some are done
         at = np.flatnonzero(left)
         while at.size:

@@ -168,6 +168,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"got {value}"):
             ExperimentConfig.from_dict(data).validate()
 
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize("field", ["q", "eps_g", "smoothing_k", "delta"])
+    def test_json_booleans_and_text_are_not_numbers(self, tiny_corpus, field, value):
+        """JSON's true is refused, not read as 1, in every float field, and
+        text is a configuration error, not a TypeError."""
+        data = dict(tiny_corpus["config"], **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} must .*, got {value!r}"):
+            ExperimentConfig.from_dict(data).validate()
+
 
 class TestRunComparison:
     def test_three_arms_and_accounting(self, tiny_corpus):

@@ -245,7 +245,7 @@ def _scalar_weights(rows, refs, alpha, beta, tol):
 
 
 # the largest row count whose 20 halvings at TOL over the 12 tokens of
-# _full_support_stack are certified in one kernel call, and the next, which
+# _full_support_stack are certified in one ball test, and the next, which
 # halves once per call from the start
 CERTIFIED_ROWS = mollifier.CERTIFY_ELEMENTS // (20 * 12)
 GATE_ROWS = [1, 2, 3, 5, 9, 21, 22, CERTIFIED_ROWS, CERTIFIED_ROWS + 1, 64, 65, 151]
@@ -264,7 +264,7 @@ def test_row_counts_across_the_certify_gate_match_scalar_bisection(k):
 def test_step_counts_on_and_off_the_exact_grid_match_scalar_bisection(k, tol):
     """tol 1e-6 takes 20 halvings and 0.3 takes 2, both from a predicted walk;
     1.0 takes none; 1e-300 takes the cap of 100, whose midpoints past the 53rd
-    may round, one per kernel call from [0, 1]."""
+    may round, one per ball test from [0, 1]."""
     rows, p0, refs = _full_support_stack(100 + k, k)
     for beta in (0.3, 0.002):
         for ref in (p0, refs):
@@ -300,7 +300,7 @@ def test_rounds_walk_the_sequential_bisection_under_any_verdicts(monkeypatch, k,
     """With verdicts that are random per mixture, each round's midpoints and
     replay must still give the one-halving-per-call walk bit for bit, also
     past the 53rd halving, where midpoints round and repeat."""
-    monkeypatch.setattr(mollifier, "_renyi_prepared", lambda mixtures, ref: _coin(mixtures))
+    monkeypatch.setattr(mollifier, "_in_ball", lambda mixtures, ref, beta: _coin(mixtures) == 0.0)
     steps = 20 if tol == 1e-6 else mollifier.MAX_BISECTION_STEPS
     for seed in range(20):
         rows, p0, refs = _full_support_stack(300 + seed, k)
@@ -319,31 +319,49 @@ def test_zero_radius_keeps_only_rows_equal_to_their_reference(k):
     assert solve_lambdas(rows, refs, 3, 0.0).tolist() == [0.0] * (k - 1) + [1.0]
 
 
-def _counting_kernel(monkeypatch) -> list:
-    """Patch the divergence kernel to count its calls; returns the count list."""
+def _counting_verdicts(monkeypatch) -> list:
+    """Patch the ball test, the one verdict function the search calls, to
+    count its calls; returns the count list."""
     calls = []
-    kernel = mollifier._renyi_prepared
+    verdicts = mollifier._in_ball
 
     def counted(*args):
         calls.append(len(args[0]))
-        return kernel(*args)
+        return verdicts(*args)
 
-    monkeypatch.setattr(mollifier, "_renyi_prepared", counted)
+    monkeypatch.setattr(mollifier, "_in_ball", counted)
     return calls
 
 
 @pytest.mark.parametrize("seed", range(50))
 def test_three_row_search_takes_two_kernel_calls(monkeypatch, seed):
     """One call at weight 1, then one call that certifies every row's
-    predicted walk: 2 kernel calls for the 20 halvings of tol 1e-6, where one
+    predicted walk: 2 ball tests for the 20 halvings of tol 1e-6, where one
     halving per call would make 21."""
-    calls = _counting_kernel(monkeypatch)
+    calls = _counting_verdicts(monkeypatch)
     rows, p0, refs = _full_support_stack(seed, 3)
     for ref in (p0, refs):
         calls.clear()
         weights = solve_lambdas(rows, ref, 3, 0.02, 1e-6)
         assert np.all((0.0 < weights) & (weights < 1.0))  # every row searched
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize("alpha, beta", [(8, 0.3), (4, 1.0), (20, 0.05)])
+def test_rows_near_a_backward_pole_certify(monkeypatch, alpha, beta):
+    """Floored rows whose backward sum has a near-pole close to weight 1 bind
+    there; the predictor still names their grid points, so every search
+    takes two verdict calls."""
+    calls = _counting_verdicts(monkeypatch)
+    searched = 0
+    for seed in range(60):
+        rows, p0, refs = _full_support_stack(seed, 3)
+        for ref in (p0, refs):
+            calls.clear()
+            weights = solve_lambdas(rows, ref, alpha, beta)
+            searched += int(np.sum(weights < 1.0))
+            assert len(calls) == (2 if np.any(weights < 1.0) else 1)
+    assert searched > 200
 
 
 # what a predictor may return, given each row's true weight
@@ -362,12 +380,12 @@ PREDICTIONS = {
 def test_any_prediction_gives_the_sequential_bisection(monkeypatch, k, guess):
     """Certification needs no proof that the predictor is right.  Whatever it
     returns, every weight equals the scalar bisection's bit for bit.  A row's
-    walk costs one kernel call, and a row whose predicted grid index first
+    walk costs one ball test, and a row whose predicted grid index first
     differs from its weight's in bit i goes on from the bracket that the
     wrong verdict fixes, so it takes i more halvings, not a restart from
     [0, 1].  A stack past the gate never asks the predictor and takes 20."""
     rng = np.random.default_rng(k)
-    calls = _counting_kernel(monkeypatch)
+    calls = _counting_verdicts(monkeypatch)
     asked = []
 
     def predict(rows, refs, alpha, beta):
@@ -397,7 +415,7 @@ def test_the_certify_gate_counts_tokens(monkeypatch, size, certified):
     """The gate budgets rows times halvings times tokens: three rows at 20
     halvings are certified in one call over at most 418 tokens and halve once
     per call from the start over more."""
-    calls = _counting_kernel(monkeypatch)
+    calls = _counting_verdicts(monkeypatch)
     rows, p0, refs = _full_support_stack(500 + size, 3, size)
     for ref, per_row in ((p0, np.broadcast_to(p0.probs, rows.shape)), (refs, refs)):
         calls.clear()

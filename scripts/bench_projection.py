@@ -102,11 +102,11 @@ def _verdict_calls(calls: list[tuple]) -> tuple[int, int, int, int, float, str]:
     grid_index = mollifier._grid_index
     named = []
 
-    def in_ball(mixtures, ref, beta):
+    def in_ball(mixtures, refs, alpha, beta):
         nonlocal count, tested
         count += 1
         tested += mixtures[..., 0].size
-        return originals["_in_ball"](mixtures, ref, beta)
+        return originals["_in_ball"](mixtures, refs, alpha, beta)
 
     def kernel(mixtures, ref):
         nonlocal exact

@@ -6,10 +6,10 @@ accounting checks) is built on the two operations in this module:
 All divergences are in nats and the order must be a real number strictly
 greater than 1, or ``INFINITY`` for the max-log-ratio limit.
 
-Those two, the mollifier's membership check and its projection search all
-run one row-wise kernel in two steps: a reference step that takes the
-reference's logarithms once, and an evaluation step that the search reuses
-for every stack of mixtures it tries.
+Those two and the mollifier's ball test all run one row-wise kernel in two
+steps: a reference step that takes the reference's logarithms, and an
+evaluation step over a stack of rows against it.  The ball test runs it only
+on the mixtures that its power sums leave undecided.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _matched(p, q) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Reference:
-    """A reference distribution ``q`` prepared once for many kernel calls.
+    """A reference distribution ``q`` prepared for the kernel's evaluation step.
 
     ``probs`` is ``(V,)``, shared by every row, or ``(..., V)`` with one
     reference per row.  ``offsets[d]`` is the ``q`` half of direction
@@ -139,14 +139,6 @@ class _Reference:
     def __init__(self, probs, covered, offsets, factors, alpha, symmetric, positive):
         self.probs, self.covered, self.offsets, self.factors = probs, covered, offsets, factors
         self.alpha, self.symmetric, self.positive = alpha, symmetric, positive
-
-    def take(self, index) -> "_Reference":
-        """The reference of the rows ``index`` selects; a shared one as is."""
-        if self.probs.ndim == 1:
-            return self
-        return _Reference(self.probs[index], self.covered[index],
-                          [offset[index] for offset in self.offsets],
-                          self.factors, self.alpha, self.symmetric, self.positive)
 
 
 def _prepare_reference(q: np.ndarray, alpha: float, symmetric: bool = False) -> _Reference:

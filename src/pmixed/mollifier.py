@@ -13,10 +13,9 @@ row in the ball at weight 1 keeps it; every other row runs the same fixed
 number of halvings (20 at the default tolerance) and returns its bracket's
 lower endpoint, which starts at ``p0`` and moves only to accepted weights.
 
-The search prepares each reference's logarithms once.  When a stack's rows
-times halvings times tokens fit in ``CERTIFY_ELEMENTS``, a float predictor
-estimates each row's weight from the two directed power sums of the ball
-test.  The estimate names a grid point ``k / 2**steps``; the bisection walk
+When a stack's rows times halvings times tokens fit in ``CERTIFY_ELEMENTS``,
+a float predictor estimates each row's weight from the two directed power
+sums of the ball test.  The estimate names a grid point ``k / 2**steps``; the bisection walk
 that ends there visits ``steps`` exact dyadic midpoints, each bit for bit the
 ``0.5 * (lo + hi)`` the sequential bisection computes, and one ball test
 evaluates all of them.  A row whose verdicts all keep to its walk gets
@@ -43,7 +42,8 @@ to the kernel, as does every case the sums do not cover: a zero in a mixture
 or its reference (a sum is then inf or NaN), a sum that overflows, radius 0,
 a non-integer order, and a margin ``M`` above ``2**-20`` (an order past
 about 3600, over 4 million tokens, or ``tau`` past about 3e6).  So every
-verdict is the kernel's.
+verdict is the kernel's.  The ball test takes the references' logarithms for
+the kernel on each call, and only for the mixtures it hands the kernel.
 
 The margin comes from a bound, in log space, on both forms.  Let every float
 operation, NumPy's ``log`` and ``exp`` included, be within a relative
@@ -82,7 +82,7 @@ import numpy as np
 
 from .accounting import _check_radius, check_positive
 from .divergence import (NORMALIZATION_ATOL, Distribution, _as_probs, _matched,
-                         _prepare_reference, _Reference, _renyi_prepared, check_order,
+                         _prepare_reference, _renyi_prepared, check_order,
                          check_probabilities)
 
 DEFAULT_LAMBDA_TOL = 1e-6
@@ -144,43 +144,46 @@ def _power_sum(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
         np.multiply(base, base, out=base)
 
 
-def _power_sum_verdicts(mixtures: np.ndarray, ref: _Reference, bound: float):
+def _power_sum_verdicts(mixtures: np.ndarray, refs: np.ndarray, alpha: float, bound: float):
     """The ball test from the two directed power sums at an integer order, as
     ``(inside, unsure)`` per mixture: ``inside`` is the verdict wherever
     ``unsure`` is false.  None where the sums do not apply (see the module
     docstring for the sums, their error bound and the margin)."""
-    alpha, size = ref.alpha, mixtures.shape[-1]
+    size = mixtures.shape[-1]
     tau = (alpha - 1.0) * bound
     margin = 2.0**-44 * (4600.0 * alpha + 4.0 * size + 5.0 * tau + 800.0)
-    if not (ref.positive and alpha.is_integer() and margin <= 2.0**-20):
+    if not (alpha.is_integer() and margin <= 2.0**-20):
         return None
     inside_at = math.exp(min(tau - margin, 709.0))
     outside_at = max(math.exp(tau + margin) if tau + margin < 709.0 else math.inf,
                      1.0 + 2.0 * NORMALIZATION_ATOL + size * 2.0**-50)
     with np.errstate(all="ignore"):
         n = int(alpha) - 1
-        sums = np.maximum(_power_sum(mixtures, ref.probs, n), _power_sum(ref.probs, mixtures, n))
+        sums = np.maximum(_power_sum(mixtures, refs, n), _power_sum(refs, mixtures, n))
     inside = sums <= inside_at
     # NaN (0/0) is neither in nor out; inf (a zero, an overflow) is never called out
     return inside, ~(inside | (sums >= outside_at) & (sums < math.inf))
 
 
-def _in_ball(mixtures: np.ndarray, ref: _Reference, beta: float) -> np.ndarray:
+def _in_ball(mixtures: np.ndarray, refs: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """The RD-mollifier set: whether each ``(..., V)`` mixture is within symmetric
-    divergence ``beta * alpha`` of ``ref``.  A divergence below float precision
-    rounds to 0, so at radius 0 only the reference itself, bit for bit, is in.
-    The power sums decide what they can; the kernel decides the rest."""
+    order-``alpha`` divergence ``beta * alpha`` of its reference, the ``(V,)``
+    ``refs`` or the stack of them that broadcasts against the mixtures.  A
+    divergence below float precision rounds to 0, so at radius 0 only the
+    reference itself, bit for bit, is in.  The power sums decide what they
+    can; the kernel decides the rest, its reference prepared only for them."""
     if beta == 0.0:
-        return np.all(mixtures == ref.probs, axis=-1)
-    bound = beta * ref.alpha
-    cheap = _power_sum_verdicts(mixtures, ref, bound)
+        return np.all(mixtures == refs, axis=-1)
+    bound = beta * alpha
+    cheap = _power_sum_verdicts(mixtures, refs, alpha, bound)
     if cheap is None:
-        return _renyi_prepared(mixtures, ref) <= bound
+        return _renyi_prepared(mixtures, _prepare_reference(refs, alpha, symmetric=True)) <= bound
     inside, unsure = cheap
     if unsure.any():
-        part = ref if ref.probs.ndim == 1 else _prepare_reference(
-            np.broadcast_to(ref.probs, mixtures.shape)[unsure], ref.alpha, symmetric=True)
-        inside[unsure] = _renyi_prepared(mixtures[unsure], part) <= bound
+        if refs.ndim > 1:
+            refs = np.broadcast_to(refs, mixtures.shape)[unsure]
+        inside[unsure] = _renyi_prepared(
+            mixtures[unsure], _prepare_reference(refs, alpha, symmetric=True)) <= bound
     return inside
 
 
@@ -190,7 +193,7 @@ def mollifier_membership(pbar, p0, alpha, beta) -> bool:
     a = _check_finite_order(alpha)
     b = _check_radius(beta)
     pa, qa = _matched(pbar, p0)
-    return bool(_in_ball(pa[np.newaxis, :], _prepare_reference(qa, a, symmetric=True), b)[0])
+    return bool(_in_ball(pa[np.newaxis, :], qa, a, b)[0])
 
 
 def _newton_on_power_sum(d, refs, e, lam, target, steps):
@@ -207,31 +210,15 @@ def _newton_on_power_sum(d, refs, e, lam, target, steps):
     return lam
 
 
-def _newton_on_power_mean(d, refs, e, lam, goal, steps):
-    """``steps`` Newton steps toward the weight at which the power sum
-    ``sum q (1 + lam d)**e`` reaches ``goal``, taken on its power mean
-    ``(sum q (1 + lam d)**e)**(1/e)``.  For ``e < 0`` that mean is concave
-    in the weight and nearly linear where one entry's pole is close, so from
-    a weight above the one sought the steps close in from above, where the
-    forward sum's steps in ``log lam`` stall.  Each stays at weight 1 or
-    below."""
-    for _ in range(steps):
-        u = 1.0 + lam[:, np.newaxis] * d
-        w = refs * u ** (e - 1.0)
-        total = (w * u).sum(axis=-1)
-        lam = np.minimum(lam - (1.0 - (goal / total) ** (1.0 / e)) * total
-                         / (w * d).sum(axis=-1), 1.0)
-    return lam
-
-
 def _predict_weights(rows, refs, alpha, beta):
     """A float estimate of each row's largest weight in the ball: the weight
     at which the larger directed power sum ``sum q (1 + lam d)**e``, with
     ``d = p/q - 1`` and ``e`` = ``alpha`` forward or ``1 - alpha`` backward,
     reaches ``exp((alpha - 1) * beta * alpha)``.  Newton steps solve the
     forward sum; a row whose backward sum is past the bound there solves the
-    backward sum from that weight instead.  Only the search's speed depends
-    on the estimate: every weight still comes from the ball's verdicts."""
+    backward sum from that weight instead, in more steps, since they close in
+    slowly where an entry's pole is near.  Only the search's speed depends on
+    the estimate: every weight still comes from the ball's verdicts."""
     with np.errstate(all="ignore"):
         d = rows / refs - 1.0
         # inf past the float range; the walk's verdicts then correct the guess
@@ -243,8 +230,8 @@ def _predict_weights(rows, refs, alpha, beta):
         back = (refs / (1.0 + lam[:, np.newaxis] * d) ** (alpha - 1.0)).sum(axis=-1)
         binds = back - 1.0 > target
         if binds.any():
-            lam[binds] = _newton_on_power_mean(d[binds], refs if refs.ndim == 1 else refs[binds],
-                                               1.0 - alpha, lam[binds], target + 1.0, 4)
+            lam[binds] = _newton_on_power_sum(d[binds], refs if refs.ndim == 1 else refs[binds],
+                                              1.0 - alpha, lam[binds], target, 16)
     return lam
 
 
@@ -282,11 +269,12 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
     if not shared:
         check_probabilities(refs, "references")
     # mixtures are (row, point, V) stacks; a per-row reference gets a point axis
-    ref = _prepare_reference(refs if shared else refs[:, np.newaxis, :], a, symmetric=True)
-    search = ~_in_ball(rows[:, np.newaxis, :], ref, b)[:, 0]
+    if not shared:
+        refs = refs[:, np.newaxis, :]
+    search = ~_in_ball(rows[:, np.newaxis, :], refs, a, b)[:, 0]
     weights = np.ones(rows.shape[0])
     if search.any():
-        rows, ref = rows[search, np.newaxis, :], ref.take(search)
+        rows, refs = rows[search, np.newaxis, :], refs if shared else refs[search]
         n = rows.shape[0]
         steps = next((s for s in range(MAX_BISECTION_STEPS) if 0.5**s <= tol),
                      MAX_BISECTION_STEPS)
@@ -295,16 +283,16 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
         # past 52 halvings a midpoint may round, so a walk's exact dyadics
         # would no longer be the bisection's midpoints
         if 0 < steps <= 52 and n * steps * rows.shape[-1] <= CERTIFY_ELEMENTS:
-            k = _grid_index(_predict_weights(rows[:, 0], ref.probs if shared else ref.probs[:, 0],
-                                             a, b), steps)
+            k = _grid_index(_predict_weights(rows[:, 0], refs if shared else refs[:, 0], a, b),
+                            steps)
             # the walk that ends at k / 2**steps visits at halving j the exact
             # dyadic ((k >> (steps - j)) | 1) / 2**j, which is the sequential
             # bisection's 0.5 * (lo + hi), and keeps the upper half there iff
             # bit steps - j of k is set
             prefix = k[:, np.newaxis] >> np.arange(steps - 1, -1, -1)
             scale = 0.5 ** np.arange(1, steps + 1)
-            ok = _in_ball(_mix_arrays(rows, ref.probs, ((prefix | 1) * scale)[..., np.newaxis]),
-                          ref, b)
+            ok = _in_ball(_mix_arrays(rows, refs, ((prefix | 1) * scale)[..., np.newaxis]),
+                          refs, a, b)
             # a row goes on from its bracket after its first verdict off the
             # walk; a row whose verdicts all keep to it is done at k / 2**steps
             wrong = ok != (prefix & 1).astype(bool)
@@ -316,11 +304,11 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
         # gathering the rows again only once some are done
         at = np.flatnonzero(left)
         while at.size:
-            part_rows, part, run = rows[at], ref.take(at), left[at].min()
+            part_rows, part, run = rows[at], refs if shared else refs[at], left[at].min()
             for _ in range(run):
                 mid = 0.5 * (lo[at] + hi[at])
-                ok = _in_ball(_mix_arrays(part_rows, part.probs, mid[:, np.newaxis, np.newaxis]),
-                              part, b)[:, 0]
+                ok = _in_ball(_mix_arrays(part_rows, part, mid[:, np.newaxis, np.newaxis]),
+                              part, a, b)[:, 0]
                 lo[at], hi[at] = np.where(ok, mid, lo[at]), np.where(ok, hi[at], mid)
             left[at] -= run
             at = at[left[at] > 0]

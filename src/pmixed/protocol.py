@@ -112,8 +112,8 @@ class PredictionSession:
             rows = np.array([self.ensemble[m].distribution(queries[i]).probs
                              for i, m in zip(owners.tolist(), members.tolist())])
             refs = released[owners]
-            # one query's rows share a reference: pass it once, so the search
-            # prepares its logarithms once for every row and every kernel call
+            # one query's rows share a reference: pass it once, so every ball
+            # test broadcasts it rather than gathering a copy per row
             lams = solve_lambdas(rows, publics[0] if b == 1 else refs,
                                  self.params.alpha, self.beta_star)
             projected = _mix_arrays(rows, refs, lams[:, np.newaxis])

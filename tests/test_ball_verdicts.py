@@ -38,8 +38,8 @@ def mixture_stacks(draw):
     lam = rng.random((k, points, 1)) ** draw(st.sampled_from([1.0, 4.0]))
     mixtures = lam * rows[:, np.newaxis, :] + (1.0 - lam) * refs[:, np.newaxis, :]
     alpha = draw(st.sampled_from([2, 3, 8, 100]))
-    ref = _prepare_reference(refs[0] if len(refs) == 1 else refs[:, np.newaxis, :],
-                             float(alpha), symmetric=True)
+    refs = refs[0] if len(refs) == 1 else refs[:, np.newaxis, :]
+    ref = _prepare_reference(refs, float(alpha), symmetric=True)
     if draw(st.booleans()):
         beta = 10.0 ** draw(st.floats(-6.0, 1.0))
     else:
@@ -49,19 +49,19 @@ def mixture_stacks(draw):
                                                               1e-6, -1e-6])))
         if not (0.0 < beta < math.inf):
             beta = 0.5
-    return mixtures, ref, beta
+    return mixtures, refs, ref, beta
 
 
 @settings(max_examples=150, deadline=None)
 @given(mixture_stacks())
 def test_every_verdict_the_power_sums_decide_is_the_kernels(stack):
-    mixtures, ref, beta = stack
+    mixtures, refs, ref, beta = stack
     expected = _kernel_verdicts(mixtures, ref, beta)
-    cheap = mollifier._power_sum_verdicts(mixtures, ref, beta * ref.alpha)
-    assert cheap is not None  # every order here is an integer, every entry positive
+    cheap = mollifier._power_sum_verdicts(mixtures, refs, ref.alpha, beta * ref.alpha)
+    assert cheap is not None  # every order here is an integer
     inside, unsure = cheap
     assert np.array_equal(inside[~unsure], expected[~unsure])
-    assert np.array_equal(mollifier._in_ball(mixtures, ref, beta), expected)
+    assert np.array_equal(mollifier._in_ball(mixtures, refs, ref.alpha, beta), expected)
 
 
 def _boundary_radius(divergence, alpha):
@@ -85,17 +85,17 @@ def test_a_radius_at_a_mixtures_divergence_goes_to_the_kernel(monkeypatch, alpha
     refs = _floored(rng, 1.0, 1 if shared else 4, 12, 0.0)
     lam = rng.random((4, 3, 1))
     mixtures = lam * rows[:, np.newaxis, :] + (1.0 - lam) * refs[:, np.newaxis, :]
-    ref = _prepare_reference(refs[0] if shared else refs[:, np.newaxis, :], float(alpha),
-                             symmetric=True)
-    divergences = _renyi_prepared(mixtures, ref)
+    refs = refs[0] if shared else refs[:, np.newaxis, :]
+    divergences = _renyi_prepared(mixtures, _prepare_reference(refs, float(alpha), True))
     exact = []
     kernel = mollifier._renyi_prepared
     monkeypatch.setattr(mollifier, "_renyi_prepared",
                         lambda p, r: exact.append(p.shape[:-1]) or kernel(p, r))
     for index in np.ndindex(divergences.shape):
         beta = _boundary_radius(float(divergences[index]), alpha)
-        assert mollifier._in_ball(mixtures, ref, beta)[index]
-        assert not mollifier._in_ball(mixtures, ref, math.nextafter(beta, 0.0))[index]
+        assert mollifier._in_ball(mixtures, refs, float(alpha), beta)[index]
+        assert not mollifier._in_ball(mixtures, refs, float(alpha),
+                                      math.nextafter(beta, 0.0))[index]
     assert exact  # the power sums left some verdict to the kernel
 
 
@@ -110,7 +110,9 @@ def test_a_bound_past_the_float_range_is_not_clamped(alpha, beta):
     rows = np.array([[0.5, 0.5]] * len(tiny))
     ref = _prepare_reference(refs[:, np.newaxis, :], float(alpha), symmetric=True)
     expected = _kernel_verdicts(rows[:, np.newaxis, :], ref, beta)
-    assert np.array_equal(mollifier._in_ball(rows[:, np.newaxis, :], ref, beta), expected)
+    assert np.array_equal(
+        mollifier._in_ball(rows[:, np.newaxis, :], refs[:, np.newaxis, :], float(alpha), beta),
+        expected)
     assert expected[:, 0].tolist() == [True, True, True, alpha == 100]
     for row, q, inside in zip(rows, refs, expected[:, 0]):
         assert mollifier_membership(row, q, alpha, beta) == inside
@@ -128,8 +130,24 @@ def test_a_mixture_equal_to_its_reference_is_in_even_off_normalization(alpha):
     while q.sum() - 1.0 > NORMALIZATION_ATOL:
         q *= 1.0 - 2.0**-53
     assert q.sum() - 1.0 > 0.99 * NORMALIZATION_ATOL
-    ref = _prepare_reference(q, float(alpha), symmetric=True)
-    assert mollifier._in_ball(q[np.newaxis, :], ref, 1e-12).tolist() == [True]
+    assert mollifier._in_ball(q[np.newaxis, :], q, float(alpha), 1e-12).tolist() == [True]
     assert mollifier_membership(q, q, alpha, 1e-12)
     assert solve_lambdas(q[np.newaxis, :], q, alpha, 1e-12).tolist() == [1.0]
     assert solve_lambdas(q[np.newaxis, :], q[np.newaxis, :], alpha, 1e-12).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("alpha", [2, 3, 8])
+def test_zeros_are_left_to_the_kernel(alpha):
+    """A zero in a mixture or its reference makes a power sum inf or NaN, so
+    the sums call none of these in or out, and the kernel's support rules
+    decide: equal supports are in, a missed token is out."""
+    refs = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.5, 0.5, 0.0]])
+    mixtures = np.array([[0.5, 0.5, 0.0], [0.4, 0.5, 0.1], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    ref = _prepare_reference(refs, float(alpha), symmetric=True)
+    inside, unsure = mollifier._power_sum_verdicts(mixtures, refs, float(alpha), 0.5 * alpha)
+    assert unsure.all()
+    verdicts = mollifier._in_ball(mixtures, refs, float(alpha), 0.5)
+    assert np.array_equal(verdicts, _kernel_verdicts(mixtures, ref, 0.5))
+    assert verdicts.tolist() == [True, False, True, False]
+    assert [mollifier_membership(m, q, alpha, 0.5) for m, q in zip(mixtures, refs)] \
+        == verdicts.tolist()

@@ -300,7 +300,8 @@ def test_rounds_walk_the_sequential_bisection_under_any_verdicts(monkeypatch, k,
     """With verdicts that are random per mixture, each round's midpoints and
     replay must still give the one-halving-per-call walk bit for bit, also
     past the 53rd halving, where midpoints round and repeat."""
-    monkeypatch.setattr(mollifier, "_in_ball", lambda mixtures, ref, beta: _coin(mixtures) == 0.0)
+    monkeypatch.setattr(mollifier, "_in_ball",
+                        lambda mixtures, refs, alpha, beta: _coin(mixtures) == 0.0)
     steps = 20 if tol == 1e-6 else mollifier.MAX_BISECTION_STEPS
     for seed in range(20):
         rows, p0, refs = _full_support_stack(300 + seed, k)

@@ -98,7 +98,7 @@ def _verdict_calls(calls: list[tuple]) -> tuple[int, int, int, int, float, str]:
     certified their walk; the share of tested mixtures that the exact kernel
     decided; and the digest of the weights."""
     count = walks = searched = certified = tested = exact = 0
-    originals = {"_in_ball": mollifier._in_ball, "_renyi_prepared": mollifier._renyi_prepared}
+    originals = {"_in_ball": mollifier._in_ball, "_renyi_arrays": mollifier._renyi_arrays}
     grid_index = mollifier._grid_index
     named = []
 
@@ -108,17 +108,17 @@ def _verdict_calls(calls: list[tuple]) -> tuple[int, int, int, int, float, str]:
         tested += mixtures[..., 0].size
         return originals["_in_ball"](mixtures, refs, alpha, beta)
 
-    def kernel(mixtures, ref):
+    def kernel(mixtures, refs, alpha, symmetric):
         nonlocal exact
         exact += mixtures[..., 0].size
-        return originals["_renyi_prepared"](mixtures, ref)
+        return originals["_renyi_arrays"](mixtures, refs, alpha, symmetric)
 
     def recorded(lam, steps):
         named.append((grid_index(lam, steps), steps))
         return named[-1][0]
 
     digest = hashlib.sha256()
-    mollifier._in_ball, mollifier._renyi_prepared = in_ball, kernel
+    mollifier._in_ball, mollifier._renyi_arrays = in_ball, kernel
     mollifier._grid_index = recorded
     try:
         for args in calls:

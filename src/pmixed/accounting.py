@@ -118,10 +118,9 @@ def _check_budget_args(N, eps_g, T) -> None:
 
 
 def _check_radius(beta) -> float:
-    b = float(beta)
-    if math.isnan(b) or b < 0.0:
+    if not (_real(beta) and beta >= 0.0):
         raise ValueError(f"radius must be nonnegative, got {beta!r}")
-    return b
+    return float(beta)
 
 
 def _log1p_scaled_expm1(scale: float, x: float) -> float:

@@ -6,10 +6,10 @@ accounting checks) is built on the two operations in this module:
 All divergences are in nats and the order must be a real number strictly
 greater than 1, or ``INFINITY`` for the max-log-ratio limit.
 
-Those two and the mollifier's ball test all run one row-wise kernel in two
-steps: a reference step that takes the reference's logarithms, and an
-evaluation step over a stack of rows against it.  The ball test runs it only
-on the mixtures that its power sums leave undecided.
+Those two and the mollifier's ball test all run one row-wise kernel,
+``_renyi_arrays``, over a stack of rows against a shared reference or one
+reference per row.  The ball test runs it only on the mixtures that its
+power sums leave undecided.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .accounting import _real
 
 INFINITY = math.inf
 
@@ -93,11 +95,10 @@ def check_probabilities(rows: np.ndarray, what: str) -> np.ndarray:
 
 
 def check_order(alpha) -> float:
-    """Validate a divergence order: a real > 1, or infinity."""
-    a = float(alpha)
-    if math.isnan(a) or a <= 1.0:
+    """Validate a divergence order: a real number > 1, or infinity."""
+    if not (_real(alpha) and alpha > 1.0):
         raise ValueError(f"divergence order must be > 1 (or infinity), got {alpha!r}")
-    return a
+    return float(alpha)
 
 
 def _as_probs(p) -> np.ndarray:
@@ -122,66 +123,47 @@ def _matched(p, q) -> tuple[np.ndarray, np.ndarray]:
     return pa, qa
 
 
-class _Reference:
-    """A reference distribution ``q`` prepared for the kernel's evaluation step.
-
-    ``probs`` is ``(V,)``, shared by every row, or ``(..., V)`` with one
-    reference per row.  ``offsets[d]`` is the ``q`` half of direction
-    ``d``'s terms and ``factors[d]`` the factor of ``log p`` in them:
-    ``(1-a) log q`` and ``a`` forward, ``a log q`` and ``1-a`` backward at
-    finite order ``a``; ``-log q`` and 1, ``log q`` and -1 at infinite
-    order.  ``log q`` is taken on ``q``'s support and 0 off it.
-    ``positive`` is whether ``q > 0`` everywhere.
-    """
-
-    __slots__ = ("probs", "covered", "offsets", "factors", "alpha", "symmetric", "positive")
-
-    def __init__(self, probs, covered, offsets, factors, alpha, symmetric, positive):
-        self.probs, self.covered, self.offsets, self.factors = probs, covered, offsets, factors
-        self.alpha, self.symmetric, self.positive = alpha, symmetric, positive
-
-
-def _prepare_reference(q: np.ndarray, alpha: float, symmetric: bool = False) -> _Reference:
-    """The reference step of the kernel: ``q``'s support, ``log q`` and the
-    ``q`` half of each direction's terms, computed once per reference."""
-    covered = q > 0.0
-    positive = bool(covered.all())
-    logq = np.log(q if positive else np.where(covered, q, 1.0))
-    if math.isinf(alpha):
-        offsets, factors = (-logq, logq), (1.0, -1.0)
-    else:
-        offsets, factors = ((1.0 - alpha) * logq, alpha * logq), (alpha, 1.0 - alpha)
-    count = 1 + symmetric
-    return _Reference(q, covered, offsets[:count], factors[:count], alpha, symmetric, positive)
-
-
-def _renyi_prepared(p: np.ndarray, ref: _Reference) -> np.ndarray:
-    """The evaluation step of the kernel: row-wise ``D(p || q)``, or the
-    larger of both directions if ``ref`` is symmetric, over normalized
-    ``(..., V)`` rows that broadcast against the reference.
+def _renyi_arrays(p: np.ndarray, q: np.ndarray, alpha: float,
+                  symmetric: bool = False) -> np.ndarray:
+    """Row-wise ``D(p || q)``, or the larger of both directions if
+    ``symmetric``, over normalized ``(..., V)`` rows ``p`` and a reference
+    ``q`` that is ``(V,)``, shared by every row, or a stack that broadcasts
+    against them.  A ``(V,)`` ``p`` is one row.
 
     Support is masked: a row is ``inf`` where ``q`` misses part of ``p``'s
     support (symmetric: where the supports differ) and 0 where ``p == q``.
     When ``p`` and ``q`` are positive everywhere, every mask is a no-op and
     is skipped; the arithmetic, and so every bit of the result, is the same.
     """
-    positive = ref.positive and p.min(initial=1.0) > 0.0
+    if p.ndim == 1:
+        p = p[np.newaxis, :]
+    covered = q > 0.0
+    positive = bool(covered.all())
+    logq = np.log(q if positive else np.where(covered, q, 1.0))
+    # direction d's terms are factors[d] * log p + offsets[d]: forward then
+    # backward, a log p + (1-a) log q and (1-a) log p + a log q at finite
+    # order a, log p - log q and log q - log p at infinite order
+    if math.isinf(alpha):
+        offsets, factors = (-logq, logq), (1.0, -1.0)
+    else:
+        offsets, factors = ((1.0 - alpha) * logq, alpha * logq), (alpha, 1.0 - alpha)
+    count = 1 + symmetric
+    positive = positive and p.min(initial=1.0) > 0.0
     # one (..., V) block of terms per direction, built in place from log p in
     # the last block: the same values as separate temporaries, in less memory
-    shape = p.shape if ref.probs.ndim == 1 else np.broadcast_shapes(p.shape, ref.probs.shape)
-    terms = np.empty((len(ref.factors),) + shape)
+    shape = p.shape if q.ndim == 1 else np.broadcast_shapes(p.shape, q.shape)
+    terms = np.empty((count,) + shape)
     logp = terms[-1]
     if positive:
         np.log(p, out=logp)
     else:
         support = p > 0.0
         np.log(np.where(support, p, 1.0), out=logp)
-    for block, factor, offset in zip(terms, ref.factors, ref.offsets):
+    for block, factor, offset in zip(terms, factors, offsets):
         np.multiply(logp, factor, out=block)
         block += offset
     if not positive:
         np.copyto(terms, -np.inf, where=~support)
-    alpha = ref.alpha
     if math.isinf(alpha):
         total = terms.max(axis=-1)
     else:
@@ -194,18 +176,10 @@ def _renyi_prepared(p: np.ndarray, ref: _Reference) -> np.ndarray:
         total = (shift[..., 0] + logs.reshape(sums.shape)) / (alpha - 1.0)
     result = total.max(axis=0, initial=0.0)
     if not positive:
-        missing = support != ref.covered if ref.symmetric else support & ~ref.covered
+        missing = support != covered if symmetric else support & ~covered
         result[missing.any(axis=-1)] = math.inf
-    result[(p == ref.probs).all(axis=-1)] = 0.0
+    result[(p == q).all(axis=-1)] = 0.0
     return result
-
-
-def _renyi_arrays(p: np.ndarray, q: np.ndarray, alpha: float,
-                  symmetric: bool = False) -> np.ndarray:
-    """Row-wise ``D(p || q)`` over normalized ``(V,)`` or ``(k, V)`` arrays
-    that broadcast together: both steps of the kernel in one call."""
-    p, q = np.atleast_2d(p), np.atleast_2d(q)
-    return _renyi_prepared(p, _prepare_reference(q, alpha, symmetric))
 
 
 def renyi_divergence(p, q, alpha) -> float:

@@ -42,8 +42,8 @@ to the kernel, as does every case the sums do not cover: a zero in a mixture
 or its reference (a sum is then inf or NaN), a sum that overflows, radius 0,
 a non-integer order, and a margin ``M`` above ``2**-20`` (an order past
 about 3600, over 4 million tokens, or ``tau`` past about 3e6).  So every
-verdict is the kernel's.  The ball test takes the references' logarithms for
-the kernel on each call, and only for the mixtures it hands the kernel.
+verdict is the kernel's.  The kernel takes the logarithms of the references
+on each call, and only of those whose mixtures the sums leave to it.
 
 The margin comes from a bound, in log space, on both forms.  Let every float
 operation, NumPy's ``log`` and ``exp`` included, be within a relative
@@ -82,8 +82,7 @@ import numpy as np
 
 from .accounting import _check_radius, check_positive
 from .divergence import (NORMALIZATION_ATOL, Distribution, _as_probs, _matched,
-                         _prepare_reference, _renyi_prepared, check_order,
-                         check_probabilities)
+                         _renyi_arrays, check_order, check_probabilities)
 
 DEFAULT_LAMBDA_TOL = 1e-6
 MAX_BISECTION_STEPS = 100
@@ -171,19 +170,18 @@ def _in_ball(mixtures: np.ndarray, refs: np.ndarray, alpha: float, beta: float) 
     ``refs`` or the stack of them that broadcasts against the mixtures.  A
     divergence below float precision rounds to 0, so at radius 0 only the
     reference itself, bit for bit, is in.  The power sums decide what they
-    can; the kernel decides the rest, its reference prepared only for them."""
+    can; the kernel decides the rest."""
     if beta == 0.0:
         return np.all(mixtures == refs, axis=-1)
     bound = beta * alpha
     cheap = _power_sum_verdicts(mixtures, refs, alpha, bound)
     if cheap is None:
-        return _renyi_prepared(mixtures, _prepare_reference(refs, alpha, symmetric=True)) <= bound
+        return _renyi_arrays(mixtures, refs, alpha, symmetric=True) <= bound
     inside, unsure = cheap
     if unsure.any():
         if refs.ndim > 1:
             refs = np.broadcast_to(refs, mixtures.shape)[unsure]
-        inside[unsure] = _renyi_prepared(
-            mixtures[unsure], _prepare_reference(refs, alpha, symmetric=True)) <= bound
+        inside[unsure] = _renyi_arrays(mixtures[unsure], refs, alpha, symmetric=True) <= bound
     return inside
 
 
@@ -200,13 +198,21 @@ def _newton_on_power_sum(d, refs, e, lam, target, steps):
     """``steps`` Newton steps in ``log lam`` toward the weight at which the
     power sum ``sum q (1 + lam d)**e`` exceeds 1 by ``target``.  Each step
     stays at weight 1 or below, past which a mixture may hold negative
-    entries."""
+    entries.  A step whose power leaves the float range, which makes it NaN
+    or 0, goes instead to the smallest weight at which one token's term alone
+    reaches ``1 + target``: the sum is at least that there, so the root is
+    not above it."""
     for _ in range(steps):
         u = 1.0 + lam[:, np.newaxis] * d
         w = refs * u ** (e - 1.0)
         excess = (w * u).sum(axis=-1) - 1.0
-        lam = np.minimum(lam * np.exp(np.log(target / excess) * excess
-                                      / (e * lam * (w * d).sum(axis=-1))), 1.0)
+        step = lam * np.exp(np.log(target / excess) * excess / (e * lam * (w * d).sum(axis=-1)))
+        lost = ~(step > 0.0)
+        if lost.any():
+            alone = (((1.0 + target) / (refs if refs.ndim == 1 else refs[lost])) ** (1.0 / e)
+                     - 1.0) / d[lost]
+            step[lost] = np.where(alone > 0.0, alone, np.inf).min(axis=-1)
+        lam = np.minimum(step, 1.0)
     return lam
 
 

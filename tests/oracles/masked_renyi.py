@@ -1,10 +1,10 @@
 """Reference kernel: the one-pass masked Renyi kernel that the bisection and
-the membership check shared before the reference was prepared once.
+the membership check once shared.
 
 Every call takes both logarithms and applies every support mask, whether or
-not the inputs have zeros.  The property tests require the prepared-reference
-kernel, on its masked path and on its all-positive path, to equal it bit for
-bit, so keep its arithmetic exactly as it is.
+not the inputs have zeros.  The property tests require the package's kernel,
+``divergence._renyi_arrays``, on its masked path and on its all-positive
+path, to equal it bit for bit, so keep its arithmetic exactly as it is.
 """
 
 import math

@@ -152,6 +152,9 @@ class TestSubsampledEps:
     def test_rejects_negative_loss(self):
         with pytest.raises(ValueError):
             subsampled_eps(0.1, 3, lambda k: -0.1)
+        # a radius must be a real number: not a bool, which would read as 1
+        with pytest.raises(ValueError, match="radius"):
+            per_query_eps(True, 3, 2)
 
 
 class TestSolveBetaStar:

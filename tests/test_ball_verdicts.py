@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pmixed.mollifier as mollifier
 from oracles.scalar_bisection import scalar_lambda
 from pmixed import mollifier_membership, solve_lambdas
-from pmixed.divergence import NORMALIZATION_ATOL, _prepare_reference, _renyi_prepared
+from pmixed.divergence import NORMALIZATION_ATOL, _renyi_arrays
 
 TOL = 1e-6
 
@@ -20,8 +20,8 @@ def _floored(rng, concentration, k, size, floor):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def _kernel_verdicts(mixtures, ref, beta):
-    return _renyi_prepared(mixtures, ref) <= beta * ref.alpha
+def _kernel_verdicts(mixtures, refs, alpha, beta):
+    return _renyi_arrays(mixtures, refs, alpha, symmetric=True) <= beta * alpha
 
 
 @st.composite
@@ -37,31 +37,30 @@ def mixture_stacks(draw):
                     draw(st.sampled_from([0.0, 1e-12])))
     lam = rng.random((k, points, 1)) ** draw(st.sampled_from([1.0, 4.0]))
     mixtures = lam * rows[:, np.newaxis, :] + (1.0 - lam) * refs[:, np.newaxis, :]
-    alpha = draw(st.sampled_from([2, 3, 8, 100]))
+    alpha = float(draw(st.sampled_from([2, 3, 8, 100])))
     refs = refs[0] if len(refs) == 1 else refs[:, np.newaxis, :]
-    ref = _prepare_reference(refs, float(alpha), symmetric=True)
     if draw(st.booleans()):
         beta = 10.0 ** draw(st.floats(-6.0, 1.0))
     else:
-        divergences = _renyi_prepared(mixtures, ref).ravel()
+        divergences = _renyi_arrays(mixtures, refs, alpha, symmetric=True).ravel()
         target = divergences[draw(st.integers(0, divergences.size - 1))]
         beta = target / alpha * (1.0 + draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9,
                                                               1e-6, -1e-6])))
         if not (0.0 < beta < math.inf):
             beta = 0.5
-    return mixtures, refs, ref, beta
+    return mixtures, refs, alpha, beta
 
 
 @settings(max_examples=150, deadline=None)
 @given(mixture_stacks())
 def test_every_verdict_the_power_sums_decide_is_the_kernels(stack):
-    mixtures, refs, ref, beta = stack
-    expected = _kernel_verdicts(mixtures, ref, beta)
-    cheap = mollifier._power_sum_verdicts(mixtures, refs, ref.alpha, beta * ref.alpha)
+    mixtures, refs, alpha, beta = stack
+    expected = _kernel_verdicts(mixtures, refs, alpha, beta)
+    cheap = mollifier._power_sum_verdicts(mixtures, refs, alpha, beta * alpha)
     assert cheap is not None  # every order here is an integer
     inside, unsure = cheap
     assert np.array_equal(inside[~unsure], expected[~unsure])
-    assert np.array_equal(mollifier._in_ball(mixtures, refs, ref.alpha, beta), expected)
+    assert np.array_equal(mollifier._in_ball(mixtures, refs, alpha, beta), expected)
 
 
 def _boundary_radius(divergence, alpha):
@@ -86,11 +85,12 @@ def test_a_radius_at_a_mixtures_divergence_goes_to_the_kernel(monkeypatch, alpha
     lam = rng.random((4, 3, 1))
     mixtures = lam * rows[:, np.newaxis, :] + (1.0 - lam) * refs[:, np.newaxis, :]
     refs = refs[0] if shared else refs[:, np.newaxis, :]
-    divergences = _renyi_prepared(mixtures, _prepare_reference(refs, float(alpha), True))
+    divergences = _renyi_arrays(mixtures, refs, float(alpha), symmetric=True)
     exact = []
-    kernel = mollifier._renyi_prepared
-    monkeypatch.setattr(mollifier, "_renyi_prepared",
-                        lambda p, r: exact.append(p.shape[:-1]) or kernel(p, r))
+    kernel = mollifier._renyi_arrays
+    monkeypatch.setattr(mollifier, "_renyi_arrays",
+                        lambda p, *args, **kwargs: exact.append(p.shape[:-1])
+                        or kernel(p, *args, **kwargs))
     for index in np.ndindex(divergences.shape):
         beta = _boundary_radius(float(divergences[index]), alpha)
         assert mollifier._in_ball(mixtures, refs, float(alpha), beta)[index]
@@ -108,8 +108,8 @@ def test_a_bound_past_the_float_range_is_not_clamped(alpha, beta):
     tiny = {3: [1e-153, 1e-150, 1e-200, 1e-300], 100: [1e-3, 1e-4, 1e-200, 1e-300]}[alpha]
     refs = np.array([[t, 1.0 - t] for t in tiny])
     rows = np.array([[0.5, 0.5]] * len(tiny))
-    ref = _prepare_reference(refs[:, np.newaxis, :], float(alpha), symmetric=True)
-    expected = _kernel_verdicts(rows[:, np.newaxis, :], ref, beta)
+    expected = _kernel_verdicts(rows[:, np.newaxis, :], refs[:, np.newaxis, :], float(alpha),
+                                beta)
     assert np.array_equal(
         mollifier._in_ball(rows[:, np.newaxis, :], refs[:, np.newaxis, :], float(alpha), beta),
         expected)
@@ -143,11 +143,10 @@ def test_zeros_are_left_to_the_kernel(alpha):
     decide: equal supports are in, a missed token is out."""
     refs = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.5, 0.5, 0.0]])
     mixtures = np.array([[0.5, 0.5, 0.0], [0.4, 0.5, 0.1], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-    ref = _prepare_reference(refs, float(alpha), symmetric=True)
     inside, unsure = mollifier._power_sum_verdicts(mixtures, refs, float(alpha), 0.5 * alpha)
     assert unsure.all()
     verdicts = mollifier._in_ball(mixtures, refs, float(alpha), 0.5)
-    assert np.array_equal(verdicts, _kernel_verdicts(mixtures, ref, 0.5))
+    assert np.array_equal(verdicts, _kernel_verdicts(mixtures, refs, float(alpha), 0.5))
     assert verdicts.tolist() == [True, False, True, False]
     assert [mollifier_membership(m, q, alpha, 0.5) for m, q in zip(mixtures, refs)] \
         == verdicts.tolist()

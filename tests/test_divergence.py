@@ -83,7 +83,7 @@ class TestRenyiDivergence:
         with pytest.raises(ValueError):
             renyi_divergence(Distribution([0.5, 0.5]), Distribution([0.25] * 4), 2)
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0, -2.0, math.nan])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0, -2.0, math.nan, "3"])
     def test_invalid_order_raises(self, alpha):
         p = Distribution([0.5, 0.5])
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from pmixed import (
     mollifier_membership,
     renyi_divergence,
     solve_lambda,
+    solve_lambdas,
     symmetric_renyi,
 )
 
@@ -208,3 +209,9 @@ class TestSolveLambda:
             solve_lambda(p, p, 2, 0.1, tol=0.0)
         with pytest.raises(ValueError):
             solve_lambda(p, p, INFINITY, 0.1)
+        # an order or a radius must be a real number, not text
+        for alpha, beta in (("3", 0.1), (3, "0.1"), ("3", "0.1")):
+            with pytest.raises(ValueError):
+                mollifier_membership(p, p, alpha, beta)
+        with pytest.raises(ValueError, match="radius"):
+            solve_lambdas([p.probs], p, 3, "0.1")

@@ -1,12 +1,15 @@
-"""The benchmark's calls into the package resolve, and its command lines parse.
+"""The benchmark's and the scripts' calls into the package resolve, and the
+benchmark's command lines parse.
 
-``perfbench/*.py`` reach the package through module aliases such as
-``import pmixed.models as pm_models``.  This test parses those files,
-without importing them, and checks that every attribute chain they take
-from an alias exists, so a deletion that would break the benchmark fails
-the suite instead of the benchmark run.  The ``pmixed`` command lines that
-the workloads start are checked against the CLI's parser, without running
-them, for the same reason.
+``perfbench/*.py`` and ``scripts/*.py`` reach the package through module
+aliases such as ``import pmixed.models as pm_models`` and through names
+such as ``from pmixed.experiment import run_comparison``.  These tests parse
+those files, without importing or running them, and check that every name
+they import and every attribute chain they take from one exists, private
+names such as ``mollifier._in_ball`` included, so a rename or deletion that
+would break the benchmark or a script fails the suite instead of their next
+run.  The ``pmixed`` command lines that the workloads start are checked
+against the CLI's parser, without running them, for the same reason.
 """
 
 import ast
@@ -19,24 +22,33 @@ import pytest
 
 from pmixed.cli import build_parser
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _uses(path: Path) -> set[tuple[str, str]]:
     """(module, attribute chain) pairs, such as ``("pmixed.models",
-    "Vocabulary.from_file")``, read through a module alias in ``path``."""
+    "Vocabulary.from_file")``: each name ``path`` imports from the package,
+    and each chain it reads through a module alias or an imported name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    aliases = {alias.asname or alias.name: alias.name
-               for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names if alias.name.split(".")[0] == "pmixed"}
+    aliases = {}  # local name: (module, chain to the name in it)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((alias.asname or alias.name, (alias.name, []))
+                           for alias in node.names if alias.name.split(".")[0] == "pmixed")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pmixed":
+            aliases.update((alias.asname or alias.name, (node.module, [alias.name]))
+                           for alias in node.names)
     uses = set()
     for node in ast.walk(tree):
         attrs = []
         while isinstance(node, ast.Attribute):
             attrs.append(node.attr)
             node = node.value
-        if attrs and isinstance(node, ast.Name) and node.id in aliases:
-            uses.add((aliases[node.id], ".".join(reversed(attrs))))
+        if isinstance(node, ast.Name) and node.id in aliases:
+            module, chain = aliases[node.id]
+            if chain or attrs:
+                uses.add((module, ".".join(chain + attrs[::-1])))
     return uses
 
 
@@ -49,15 +61,25 @@ def _resolves(module: str, chain: str) -> bool:
     return True
 
 
-def test_every_name_the_benchmark_uses_exists():
-    files = sorted(PERFBENCH.glob("*.py"))
+def _missing(folder: Path) -> list[str]:
+    """The package names that ``folder/*.py`` use and the package lacks."""
+    files = sorted(folder.glob("*.py"))
     if not files:
-        pytest.skip("perfbench/ is not present")
+        pytest.skip(f"{folder.name}/ is not present")
     uses = {(path.name, *use) for path in files for use in _uses(path)}
-    assert uses, "no aliased pmixed module found in perfbench/"
-    missing = [f"{name}: {module}.{chain}" for name, module, chain in sorted(uses)
-               if not _resolves(module, chain)]
-    assert missing == []
+    assert uses, f"no pmixed name found in {folder.name}/"
+    return [f"{name}: {module}.{chain}" for name, module, chain in sorted(uses)
+            if not _resolves(module, chain)]
+
+
+def test_every_name_the_benchmark_uses_exists():
+    assert _missing(PERFBENCH) == []
+
+
+def test_every_name_the_scripts_use_exists():
+    """``scripts/bench_projection.py`` patches private names of the search,
+    such as ``mollifier._in_ball`` and the divergence kernel."""
+    assert _missing(ROOT / "scripts") == []
 
 
 def test_every_command_line_the_benchmark_starts_parses(monkeypatch, tmp_path):

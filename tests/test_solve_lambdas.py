@@ -11,7 +11,7 @@ import pmixed.mollifier as mollifier
 from oracles.masked_renyi import renyi_rows
 from oracles.scalar_bisection import scalar_lambda, symmetric
 from pmixed import Distribution, mix, mollifier_membership, solve_lambdas
-from pmixed.divergence import _prepare_reference, _renyi_arrays, _renyi_prepared
+from pmixed.divergence import _renyi_arrays
 
 TOL = 1e-6
 
@@ -198,9 +198,10 @@ def test_empty_stack_gives_no_weights():
 @settings(max_examples=80, deadline=None)
 @given(instances(), st.data())
 def test_prepared_reference_matches_the_kernel_on_mixtures(instance, data):
-    """A reference prepared once and evaluated on a (row, point, V) stack of
-    mixtures gives each mixture's own kernel call and the masked one-pass
-    oracle bit for bit, on the all-positive path and on the masked one."""
+    """One kernel call on a (row, point, V) stack of mixtures against a shared
+    or per-row reference gives each mixture's own kernel call and the masked
+    one-pass oracle bit for bit, on the all-positive path and on the masked
+    one."""
     rows, p0, _, _ = instance
     k, size = rows.shape
     alpha = data.draw(st.one_of(st.floats(1.2, 8.0), st.just(math.inf)))
@@ -222,9 +223,8 @@ def test_prepared_reference_matches_the_kernel_on_mixtures(instance, data):
     lams = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)))
     lam = lams[np.newaxis, :, np.newaxis]
     mixtures = lam * rows[:, np.newaxis, :] + (1.0 - lam) * refs[:, np.newaxis, :]
-    ref = _prepare_reference(refs[0] if shared else refs[:, np.newaxis, :], alpha,
-                             both_directions)
-    batched = _renyi_prepared(mixtures, ref)
+    batched = _renyi_arrays(mixtures, refs[0] if shared else refs[:, np.newaxis, :], alpha,
+                            symmetric=both_directions)
     for i in range(k):
         for j, mixture in enumerate(mixtures[i]):
             one = _renyi_arrays(mixture, refs[i], alpha, symmetric=both_directions)[0]
@@ -348,11 +348,12 @@ def test_three_row_search_takes_two_kernel_calls(monkeypatch, seed):
         assert len(calls) == 2
 
 
-@pytest.mark.parametrize("alpha, beta", [(8, 0.3), (4, 1.0), (20, 0.05)])
+@pytest.mark.parametrize("alpha, beta", [(8, 0.3), (4, 1.0), (20, 0.05), (100, 0.01)])
 def test_rows_near_a_backward_pole_certify(monkeypatch, alpha, beta):
     """Floored rows whose backward sum has a near-pole close to weight 1 bind
-    there; the predictor still names their grid points, so every search
-    takes two verdict calls."""
+    there, and at order 100 some rows' powers overflow at the first estimate;
+    the predictor still names their grid points, so every search takes two
+    verdict calls."""
     calls = _counting_verdicts(monkeypatch)
     searched = 0
     for seed in range(60):

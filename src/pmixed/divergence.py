@@ -84,14 +84,13 @@ class Distribution:
         return f"Distribution({body})"
 
 
-def check_probabilities(rows: np.ndarray, what: str) -> np.ndarray:
+def check_probabilities(rows: np.ndarray, what: str) -> None:
     """Validate probability rows along the last axis: nonnegative, each summing
-    to 1 within ``NORMALIZATION_ATOL``.  Returns the row sums."""
+    to 1 within ``NORMALIZATION_ATOL``."""
     sums = rows.sum(axis=-1)
     # NaN and -inf fail the sign test, +inf fails the sum test
     if not (np.all(rows >= 0.0) and np.all(abs(sums - 1.0) <= NORMALIZATION_ATOL)):
         raise ValueError(f"{what} must be nonnegative and sum to 1 within {NORMALIZATION_ATOL}")
-    return sums
 
 
 def check_order(alpha) -> float:
@@ -132,52 +131,27 @@ def _renyi_arrays(p: np.ndarray, q: np.ndarray, alpha: float,
 
     Support is masked: a row is ``inf`` where ``q`` misses part of ``p``'s
     support (symmetric: where the supports differ) and 0 where ``p == q``.
-    When ``p`` and ``q`` are positive everywhere, every mask is a no-op and
-    is skipped; the arithmetic, and so every bit of the result, is the same.
     """
-    if p.ndim == 1:
-        p = p[np.newaxis, :]
-    covered = q > 0.0
-    positive = bool(covered.all())
-    logq = np.log(q if positive else np.where(covered, q, 1.0))
-    # direction d's terms are factors[d] * log p + offsets[d]: forward then
-    # backward, a log p + (1-a) log q and (1-a) log p + a log q at finite
-    # order a, log p - log q and log q - log p at infinite order
-    if math.isinf(alpha):
-        offsets, factors = (-logq, logq), (1.0, -1.0)
-    else:
-        offsets, factors = ((1.0 - alpha) * logq, alpha * logq), (alpha, 1.0 - alpha)
-    count = 1 + symmetric
-    positive = positive and p.min(initial=1.0) > 0.0
-    # one (..., V) block of terms per direction, built in place from log p in
-    # the last block: the same values as separate temporaries, in less memory
-    shape = p.shape if q.ndim == 1 else np.broadcast_shapes(p.shape, q.shape)
-    terms = np.empty((count,) + shape)
-    logp = terms[-1]
-    if positive:
-        np.log(p, out=logp)
-    else:
-        support = p > 0.0
-        np.log(np.where(support, p, 1.0), out=logp)
-    for block, factor, offset in zip(terms, factors, offsets):
-        np.multiply(logp, factor, out=block)
-        block += offset
-    if not positive:
-        np.copyto(terms, -np.inf, where=~support)
+    p = np.atleast_2d(p)
+    support, covered = p > 0.0, q > 0.0
+    logp = np.log(np.where(support, p, 1.0))
+    logq = np.log(np.where(covered, q, 1.0))
+    directions = ((logp, logq), (logq, logp))[: 1 + symmetric]
+    terms = np.stack([lp - lq if math.isinf(alpha) else alpha * lp + (1.0 - alpha) * lq
+                      for lp, lq in directions])
+    terms = np.where(support, terms, -np.inf)
     if math.isinf(alpha):
         total = terms.max(axis=-1)
     else:
         # Max-shifted log-sum-exp keeps peaked rows representable; the last
         # log is math.log per row, as in the scalar oracle, to match it bit for bit.
         shift = terms.max(axis=-1, keepdims=True)
-        terms -= shift
-        sums = np.exp(terms, out=terms).sum(axis=-1)
+        sums = np.exp(terms - shift).sum(axis=-1)
         logs = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)
         total = (shift[..., 0] + logs.reshape(sums.shape)) / (alpha - 1.0)
-    result = total.max(axis=0, initial=0.0)
-    if not positive:
-        missing = support != covered if symmetric else support & ~covered
-        result[missing.any(axis=-1)] = math.inf
+    result = np.maximum(total.max(axis=0), 0.0)
+    missing = support != covered if symmetric else support & ~covered
+    result[missing.any(axis=-1)] = math.inf
     result[(p == q).all(axis=-1)] = 0.0
     return result
 

@@ -121,6 +121,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{label} path not found: {path!r}")
         if self.vocab_path is not None and not os.path.exists(self.vocab_path):
             raise ConfigError(f"vocab path not found: {self.vocab_path!r}")
+        if not isinstance(self.mode, EpsMode):
+            raise ConfigError(f"mode must be an EpsMode, got {self.mode!r}")
         try:
             ints = {"runs": check_positive_int(self.runs, "runs")}
             if self.max_seq_len is not None:

@@ -221,10 +221,14 @@ def _predict_weights(rows, refs, alpha, beta):
     at which the larger directed power sum ``sum q (1 + lam d)**e``, with
     ``d = p/q - 1`` and ``e`` = ``alpha`` forward or ``1 - alpha`` backward,
     reaches ``exp((alpha - 1) * beta * alpha)``.  Newton steps solve the
-    forward sum; a row whose backward sum is past the bound there solves the
-    backward sum from that weight instead, in more steps, since they close in
-    slowly where an entry's pole is near.  Only the search's speed depends on
-    the estimate: every weight still comes from the ball's verdicts."""
+    forward sum, four up to order 8 and one more for each fourfold rise in
+    the order past it, since the quadratic first estimate is further off the
+    higher the power.  A row whose backward sum is past the bound there
+    solves the backward sum from that weight instead, in more steps, since
+    they close in slowly where an entry's pole is near.  Only the search's
+    speed depends on the estimate: every weight still comes from the ball's
+    verdicts."""
+    forward = 4 + max(0, math.ceil(math.log(alpha / 8.0, 4.0)))
     with np.errstate(all="ignore"):
         d = rows / refs - 1.0
         # inf past the float range; the walk's verdicts then correct the guess
@@ -232,7 +236,7 @@ def _predict_weights(rows, refs, alpha, beta):
         # both sums are 1 + alpha (alpha - 1) / 2 * sum(q d**2) * lam**2 + O(lam**3)
         lam = np.minimum(np.sqrt(2.0 * target / (alpha * (alpha - 1.0)
                                                  * (refs * d * d).sum(axis=-1))), 1.0)
-        lam = _newton_on_power_sum(d, refs, alpha, lam, target, 4)
+        lam = _newton_on_power_sum(d, refs, alpha, lam, target, forward)
         back = (refs / (1.0 + lam[:, np.newaxis] * d) ** (alpha - 1.0)).sum(axis=-1)
         binds = back - 1.0 > target
         if binds.any():

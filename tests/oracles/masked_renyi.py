@@ -3,8 +3,8 @@ the membership check once shared.
 
 Every call takes both logarithms and applies every support mask, whether or
 not the inputs have zeros.  The property tests require the package's kernel,
-``divergence._renyi_arrays``, on its masked path and on its all-positive
-path, to equal it bit for bit, so keep its arithmetic exactly as it is.
+``divergence._renyi_arrays``, to equal it bit for bit on rows and references
+with and without zeros, so keep its arithmetic exactly as it is.
 """
 
 import math

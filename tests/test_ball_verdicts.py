@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import pmixed.mollifier as mollifier
 from oracles.scalar_bisection import scalar_lambda
-from pmixed import mollifier_membership, solve_lambdas
+from pmixed import (EpsMode, PredictionSession, PrivacyParams, Vocabulary, build_public_model,
+                    load_corpus, mollifier_membership, partition_corpus, solve_lambdas,
+                    train_ngram)
 from pmixed.divergence import NORMALIZATION_ATOL, _renyi_arrays
 
 TOL = 1e-6
@@ -150,3 +152,35 @@ def test_zeros_are_left_to_the_kernel(alpha):
     assert verdicts.tolist() == [True, False, True, False]
     assert [mollifier_membership(m, q, alpha, 0.5) for m, q in zip(mixtures, refs)] \
         == verdicts.tolist()
+
+
+def test_serving_at_the_wide_trigram_settings_never_runs_the_kernel(monkeypatch, fixture_config):
+    """At the settings of the serve-trigram-wide benchmark (n-gram order 3,
+    q 0.25, eps_g 32, T 512, paper-faithful, 80 fixture members), 64 answered
+    queries and then one 64-position block are decided by the power sums
+    alone: the exact kernel runs on none of their mixtures.  If this fails,
+    served traffic reaches the kernel again and its speed matters."""
+    config = fixture_config
+    vocab = Vocabulary.from_file(config.vocab_path)
+    private, public, test = ([vocab.encode(doc) for doc in load_corpus(path)]
+                             for path in (config.private_corpus_path, config.public_corpus_path,
+                                          config.test_corpus_path))
+    members = [train_ngram(part, 3, config.smoothing_k, vocab)
+               for part in partition_corpus(private, 80, config.seed)]
+    params = PrivacyParams(eps_g=32.0, delta=config.delta, T=512, alpha=3, q=0.25, N=80)
+    session = PredictionSession(members, build_public_model(public, 3, config.smoothing_k, vocab),
+                                params, mode=EpsMode.PAPER_FAITHFUL, seed=0)
+    kernel, calls = mollifier._renyi_arrays, []
+    monkeypatch.setattr(mollifier, "_renyi_arrays",
+                        lambda p, *rest, **kw: calls.append(p.shape) or kernel(p, *rest, **kw))
+    weights = []
+    for doc in test[:4]:
+        ids = doc[:2]
+        for _ in range(16):
+            token, record = session.respond(ids)
+            weights.extend(record.mixing_weights.values())
+            ids.append(token)
+    session.answer_block([doc[:t] for doc in test for t in range(len(doc))][:64])
+    assert session.ledger.queries_answered == 128
+    assert min(weights) < 1.0  # some projections searched below weight 1
+    assert calls == []

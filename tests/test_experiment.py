@@ -149,6 +149,8 @@ class TestConfig:
         config = ExperimentConfig.from_file(tiny_corpus["config_path"])
         with pytest.raises(ConfigError):
             config.replace(q=2.0).validate()
+        with pytest.raises(ConfigError, match="mode"):
+            config.replace(mode="conservative").validate()
 
     def test_runs_and_max_seq_len_must_be_positive_integers(self, tiny_corpus):
         config = ExperimentConfig.from_file(tiny_corpus["config_path"])

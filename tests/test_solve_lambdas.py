@@ -200,8 +200,8 @@ def test_empty_stack_gives_no_weights():
 def test_prepared_reference_matches_the_kernel_on_mixtures(instance, data):
     """One kernel call on a (row, point, V) stack of mixtures against a shared
     or per-row reference gives each mixture's own kernel call and the masked
-    one-pass oracle bit for bit, on the all-positive path and on the masked
-    one."""
+    one-pass oracle bit for bit, with and without zeros in the rows and the
+    references."""
     rows, p0, _, _ = instance
     k, size = rows.shape
     alpha = data.draw(st.one_of(st.floats(1.2, 8.0), st.just(math.inf)))
@@ -348,11 +348,14 @@ def test_three_row_search_takes_two_kernel_calls(monkeypatch, seed):
         assert len(calls) == 2
 
 
-@pytest.mark.parametrize("alpha, beta", [(8, 0.3), (4, 1.0), (20, 0.05), (100, 0.01)])
+@pytest.mark.parametrize("alpha, beta", [(8, 0.3), (4, 1.0), (20, 0.05), (30, 0.01), (40, 0.01),
+                                         (50, 0.01), (100, 0.01)])
 def test_rows_near_a_backward_pole_certify(monkeypatch, alpha, beta):
     """Floored rows whose backward sum has a near-pole close to weight 1 bind
-    there, and at order 100 some rows' powers overflow at the first estimate;
-    the predictor still names their grid points, so every search takes two
+    there; at orders 30 to 50 the forward sum's quadratic first estimate is
+    far enough off that four Newton steps leave some rows a grid step high;
+    and at order 100 some rows' powers overflow at the first estimate.  The
+    predictor still names their grid points, so every search takes two
     verdict calls."""
     calls = _counting_verdicts(monkeypatch)
     searched = 0

@@ -11,8 +11,10 @@ Serve sessions generate 16 tokens from each two-token prompt drawn from the
 test corpus, feeding every sampled token back.  The recorded calls are then
 replayed and, per workload, the script prints the number of calls, the mean
 rows per call, the ball-test (``_in_ball``) calls per solve, the share of
-searched rows (those below weight 1) whose predicted walk certified, the
-ball-test calls per solve that the one-halving loop made after a walk
+the rows the predictor was asked about whose predicted walk certified ("-"
+where it was asked about none), the share of searched rows (those below
+weight 1) in solves past the certify gate, which the predictor never sees,
+the ball-test calls per solve that the one-halving loop made after a walk
 failed or in place of one, the share of tested mixtures that the exact
 divergence kernel decided rather than the power sums, the median over
 repeats of the microseconds per solve, and a digest of every returned
@@ -92,12 +94,13 @@ def _serve_calls(config: ExperimentConfig, name: str, seed: int) -> list[tuple]:
     return _recording(run)
 
 
-def _verdict_calls(calls: list[tuple]) -> tuple[int, int, int, int, float, str]:
-    """Ball-test calls over one replay; the predicted walks; the searched rows
-    and those whose predicted grid point was their weight, so that one call
-    certified their walk; the share of tested mixtures that the exact kernel
-    decided; and the digest of the weights."""
-    count = walks = searched = certified = tested = exact = 0
+def _verdict_calls(calls: list[tuple]) -> tuple[int, int, int, int, int, int, float, str]:
+    """Ball-test calls over one replay; the predicted walks; the searched rows;
+    the rows the predictor was asked about and those whose predicted grid
+    point was their weight, so that one call certified their walk; the
+    searched rows of solves past the certify gate; the share of tested
+    mixtures that the exact kernel decided; and the digest of the weights."""
+    count = walks = searched = asked = certified = gated = tested = exact = 0
     originals = {"_in_ball": mollifier._in_ball, "_renyi_arrays": mollifier._renyi_arrays}
     grid_index = mollifier._grid_index
     named = []
@@ -127,14 +130,17 @@ def _verdict_calls(calls: list[tuple]) -> tuple[int, int, int, int, float, str]:
             digest.update(weights.tobytes())
             below = weights[weights < 1.0]
             searched += below.size
+            gated += 0 if named else below.size
             for k, steps in named:
                 walks += 1
+                asked += k.size
                 certified += int(np.sum(k * 0.5**steps == below))
     finally:
         for name, fn in originals.items():
             setattr(mollifier, name, fn)
         mollifier._grid_index = grid_index
-    return count, walks, searched, certified, exact / max(tested, 1), digest.hexdigest()[:16]
+    return (count, walks, searched, asked, certified, gated, exact / max(tested, 1),
+            digest.hexdigest()[:16])
 
 
 def _us_per_solve(calls: list[tuple], repeats: int) -> float:
@@ -158,15 +164,17 @@ def main(argv=None) -> int:
     workloads = {name: _serve_calls(config, name, args.seed) for name in SERVE}
     workloads["compare"] = _recording(lambda: run_comparison(config))
     print(f"{'workload':<20} {'calls':>6} {'rows/call':>9} {'tests/solve':>11} "
-          f"{'certified':>9} {'loop/solve':>10} {'exact':>9} {'us/solve':>9}  weights")
+          f"{'certified':>9} {'past gate':>9} {'loop/solve':>10} {'exact':>9} {'us/solve':>9}  "
+          f"weights")
     for name, calls in workloads.items():
         rows = np.mean([len(c[0]) for c in calls])
-        tests, walks, searched, certified, exact, digest = _verdict_calls(calls)
+        tests, walks, searched, asked, certified, gated, exact, digest = _verdict_calls(calls)
         # each solve makes one call at weight 1 and one per predicted walk
         loop = (tests - len(calls) - walks) / len(calls)
         us = _us_per_solve(calls, args.repeats)
         print(f"{name:<20} {len(calls):>6} {rows:>9.1f} {tests / len(calls):>11.2f} "
-              f"{certified / max(searched, 1):>9.3f} {loop:>10.2f} {exact:>9.2e} {us:>9.1f}  "
+              f"{f'{certified / asked:.3f}' if asked else '-':>9} {gated / max(searched, 1):>9.3f} "
+              f"{loop:>10.2f} {exact:>9.2e} {us:>9.1f}  "
               f"{digest}")
     return 0
 

@@ -20,14 +20,14 @@ that ends there visits ``steps`` exact dyadic midpoints, each bit for bit the
 ``0.5 * (lo + hi)`` the sequential bisection computes, and one ball test
 evaluates all of them.  A row whose verdicts all keep to its walk gets
 ``k / 2**steps``, which is then by construction the bisection's result.  A
-row with a verdict off its walk goes on from the bracket that its first
-such verdict fixes, one halving per ball test.  Larger stacks, such as an
-evaluation block, and searches of more than 52 halvings, whose midpoints
-round, run that loop from ``[0, 1]``.  So every weight is the sequential
-bisection's, bit for bit, whatever the predictor returns, at any step count
-and even where rounding makes feasibility non-monotone.  The predictor
-decides only how many ball tests a search takes: two, the test at weight
-1 included, when it names every row's grid point.
+row with a verdict off its walk reruns the plain bisection from ``[0, 1]``,
+one halving per ball test, as do all rows of larger stacks, such as an
+evaluation block, and of searches of more than 52 halvings, whose midpoints
+round.  So every weight is the sequential bisection's, bit for bit, whatever
+the predictor returns, at any step count and even where rounding makes
+feasibility non-monotone.  The predictor decides only how many ball tests a
+search takes: two, the test at weight 1 included, when it names every row's
+grid point, and two plus the halvings otherwise.
 
 The ball test (``_in_ball``) runs the divergence kernel only where it must.
 At an integer order it needs no logarithm.  With ``n = alpha - 1``
@@ -194,23 +194,26 @@ def mollifier_membership(pbar, p0, alpha, beta) -> bool:
     return bool(_in_ball(pa[np.newaxis, :], qa, a, b)[0])
 
 
-def _newton_on_power_sum(d, refs, e, lam, target, steps):
-    """``steps`` Newton steps in ``log lam`` toward the weight at which the
-    power sum ``sum q (1 + lam d)**e`` exceeds 1 by ``target``.  Each step
+def _newton_on_power_sum(d, refs, e, lam, log_target, steps):
+    """``steps`` Newton steps in ``log lam`` on ``log`` of the excess over 1 of
+    the power sum ``sum q (1 + lam d)**e``, toward ``log_target``.  Each step
     stays at weight 1 or below, past which a mixture may hold negative
     entries.  A step whose power leaves the float range, which makes it NaN
     or 0, goes instead to the smallest weight at which one token's term alone
-    reaches ``1 + target``: the sum is at least that there, so the root is
-    not above it."""
+    reaches ``1 + exp(log_target)``: the sum is at least that there, so the
+    root is not above it."""
     for _ in range(steps):
         u = 1.0 + lam[:, np.newaxis] * d
         w = refs * u ** (e - 1.0)
         excess = (w * u).sum(axis=-1) - 1.0
-        step = lam * np.exp(np.log(target / excess) * excess / (e * lam * (w * d).sum(axis=-1)))
+        # the excess over the slope, divided first: near a pole their product
+        # with e overflows while both stay finite
+        step = lam * np.exp((log_target - np.log(excess))
+                            * (excess / (w * d).sum(axis=-1) / (e * lam)))
         lost = ~(step > 0.0)
         if lost.any():
-            alone = (((1.0 + target) / (refs if refs.ndim == 1 else refs[lost])) ** (1.0 / e)
-                     - 1.0) / d[lost]
+            alone = np.expm1((np.logaddexp(0.0, log_target)
+                              - np.log(refs if refs.ndim == 1 else refs[lost])) / e) / d[lost]
             step[lost] = np.where(alone > 0.0, alone, np.inf).min(axis=-1)
         lam = np.minimum(step, 1.0)
     return lam
@@ -220,28 +223,29 @@ def _predict_weights(rows, refs, alpha, beta):
     """A float estimate of each row's largest weight in the ball: the weight
     at which the larger directed power sum ``sum q (1 + lam d)**e``, with
     ``d = p/q - 1`` and ``e`` = ``alpha`` forward or ``1 - alpha`` backward,
-    reaches ``exp((alpha - 1) * beta * alpha)``.  Newton steps solve the
-    forward sum, four up to order 8 and one more for each fourfold rise in
-    the order past it, since the quadratic first estimate is further off the
-    higher the power.  A row whose backward sum is past the bound there
-    solves the backward sum from that weight instead, in more steps, since
-    they close in slowly where an entry's pole is near.  Only the search's
-    speed depends on the estimate: every weight still comes from the ball's
-    verdicts."""
+    reaches ``exp(tau)``, ``tau = (alpha - 1) * beta * alpha``.  It aims at
+    the log of the excess over 1, ``log(expm1(tau))``, which stays finite
+    where ``exp(tau)`` overflows.  Newton steps solve the forward sum, four up
+    to order 8 and one more for each fourfold rise in the order past it, since
+    the quadratic first estimate is further off the higher the power.  A row
+    whose backward sum is past the bound there solves the backward sum from
+    that weight instead, in more steps, since they close in slowly where an
+    entry's pole is near.  Only the search's speed depends on the estimate:
+    every weight still comes from the ball's verdicts."""
     forward = 4 + max(0, math.ceil(math.log(alpha / 8.0, 4.0)))
+    tau = (alpha - 1.0) * alpha * beta
     with np.errstate(all="ignore"):
         d = rows / refs - 1.0
-        # inf past the float range; the walk's verdicts then correct the guess
-        target = np.expm1((alpha - 1.0) * alpha * beta)
+        log_target = tau + np.log(-np.expm1(-tau))
         # both sums are 1 + alpha (alpha - 1) / 2 * sum(q d**2) * lam**2 + O(lam**3)
-        lam = np.minimum(np.sqrt(2.0 * target / (alpha * (alpha - 1.0)
-                                                 * (refs * d * d).sum(axis=-1))), 1.0)
-        lam = _newton_on_power_sum(d, refs, alpha, lam, target, forward)
+        lam = np.minimum(np.exp(0.5 * log_target) * np.sqrt(
+            2.0 / (alpha * (alpha - 1.0) * (refs * d * d).sum(axis=-1))), 1.0)
+        lam = _newton_on_power_sum(d, refs, alpha, lam, log_target, forward)
         back = (refs / (1.0 + lam[:, np.newaxis] * d) ** (alpha - 1.0)).sum(axis=-1)
-        binds = back - 1.0 > target
+        binds = np.log(back - 1.0) > log_target
         if binds.any():
             lam[binds] = _newton_on_power_sum(d[binds], refs if refs.ndim == 1 else refs[binds],
-                                              1.0 - alpha, lam[binds], target, 16)
+                                              1.0 - alpha, lam[binds], log_target, 16)
     return lam
 
 
@@ -288,8 +292,7 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
         n = rows.shape[0]
         steps = next((s for s in range(MAX_BISECTION_STEPS) if 0.5**s <= tol),
                      MAX_BISECTION_STEPS)
-        # lo starts at p0 itself and moves only to points verified feasible
-        lo, hi, left = np.zeros(n), np.ones(n), np.full(n, steps)
+        lo, at = np.zeros(n), np.arange(n)
         # past 52 halvings a midpoint may round, so a walk's exact dyadics
         # would no longer be the bisection's midpoints
         if 0 < steps <= 52 and n * steps * rows.shape[-1] <= CERTIFY_ELEMENTS:
@@ -300,28 +303,22 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
             # bisection's 0.5 * (lo + hi), and keeps the upper half there iff
             # bit steps - j of k is set
             prefix = k[:, np.newaxis] >> np.arange(steps - 1, -1, -1)
-            scale = 0.5 ** np.arange(1, steps + 1)
-            ok = _in_ball(_mix_arrays(rows, refs, ((prefix | 1) * scale)[..., np.newaxis]),
-                          refs, a, b)
-            # a row goes on from its bracket after its first verdict off the
-            # walk; a row whose verdicts all keep to it is done at k / 2**steps
-            wrong = ok != (prefix & 1).astype(bool)
-            first = np.where(wrong.any(axis=1), wrong.argmax(axis=1), steps - 1)
-            at = np.arange(n)
-            lo = (prefix[at, first] & ~1 | ok[at, first]) * scale[first]
-            hi, left = lo + scale[first], steps - 1 - first
-        # then one halving per ball test for every row with halvings left,
-        # gathering the rows again only once some are done
-        at = np.flatnonzero(left)
-        while at.size:
-            part_rows, part, run = rows[at], refs if shared else refs[at], left[at].min()
-            for _ in range(run):
-                mid = 0.5 * (lo[at] + hi[at])
-                ok = _in_ball(_mix_arrays(part_rows, part, mid[:, np.newaxis, np.newaxis]),
-                              part, a, b)[:, 0]
-                lo[at], hi[at] = np.where(ok, mid, lo[at]), np.where(ok, hi[at], mid)
-            left[at] -= run
-            at = at[left[at] > 0]
+            ok = _in_ball(_mix_arrays(rows, refs, ((prefix | 1) * 0.5 ** np.arange(1, steps + 1))
+                                      [..., np.newaxis]), refs, a, b)
+            # a row whose verdicts all keep to its walk is done at k / 2**steps
+            lo = k * 0.5**steps
+            at = np.flatnonzero(np.any(ok != (prefix & 1).astype(bool), axis=1))
+        # the rows left halve once per ball test from [0, 1]; a lower end
+        # starts at p0 itself and moves only to points verified feasible
+        if at.size:
+            rows, refs = rows[at], refs if shared else refs[at]
+            low, high = np.zeros(at.size), np.ones(at.size)
+            for _ in range(steps):
+                mid = 0.5 * (low + high)
+                ok = _in_ball(_mix_arrays(rows, refs, mid[:, np.newaxis, np.newaxis]),
+                              refs, a, b)[:, 0]
+                low, high = np.where(ok, mid, low), np.where(ok, high, mid)
+            lo[at] = low
         weights[search] = lo
     return weights
 

@@ -349,14 +349,15 @@ def test_three_row_search_takes_two_kernel_calls(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("alpha, beta", [(8, 0.3), (4, 1.0), (20, 0.05), (30, 0.01), (40, 0.01),
-                                         (50, 0.01), (100, 0.01)])
+                                         (50, 0.01), (64, 0.05), (100, 0.01)])
 def test_rows_near_a_backward_pole_certify(monkeypatch, alpha, beta):
     """Floored rows whose backward sum has a near-pole close to weight 1 bind
     there; at orders 30 to 50 the forward sum's quadratic first estimate is
     far enough off that four Newton steps leave some rows a grid step high;
-    and at order 100 some rows' powers overflow at the first estimate.  The
-    predictor still names their grid points, so every search takes two
-    verdict calls."""
+    at order 64 a backward Newton step's slope times the order overflows
+    while both are finite; and at order 100 some rows' powers overflow at the
+    first estimate.  The predictor still names their grid points, so every
+    search takes two verdict calls."""
     calls = _counting_verdicts(monkeypatch)
     searched = 0
     for seed in range(60):
@@ -367,6 +368,23 @@ def test_rows_near_a_backward_pole_certify(monkeypatch, alpha, beta):
             searched += int(np.sum(weights < 1.0))
             assert len(calls) == (2 if np.any(weights < 1.0) else 1)
     assert searched > 200
+
+
+@pytest.mark.parametrize("alpha, beta", [(100, 0.08), (120, 0.06), (128, 0.05), (150, 0.04)])
+def test_rows_past_the_float_range_of_the_bound_certify(monkeypatch, alpha, beta):
+    """Where ``(alpha - 1) * alpha * beta`` passes 709, ``exp`` of it and the
+    power sums' excess over 1 overflow; the predictor aims at the log of the
+    excess, which stays finite, so every search still takes two ball tests."""
+    calls = _counting_verdicts(monkeypatch)
+    searched = 0
+    for seed in range(60):
+        rows, p0, refs = _full_support_stack(seed, 3)
+        for ref in (p0, refs):
+            calls.clear()
+            weights = solve_lambdas(rows, ref, alpha, beta)
+            searched += int(np.any(weights < 1.0))
+            assert len(calls) == (2 if np.any(weights < 1.0) else 1)
+    assert searched > 50
 
 
 # what a predictor may return, given each row's true weight
@@ -384,11 +402,11 @@ PREDICTIONS = {
 @pytest.mark.parametrize("k", [1, 2, 3, 21, 22, 25, 26, 65, CERTIFIED_ROWS + 1])
 def test_any_prediction_gives_the_sequential_bisection(monkeypatch, k, guess):
     """Certification needs no proof that the predictor is right.  Whatever it
-    returns, every weight equals the scalar bisection's bit for bit.  A row's
-    walk costs one ball test, and a row whose predicted grid index first
-    differs from its weight's in bit i goes on from the bracket that the
-    wrong verdict fixes, so it takes i more halvings, not a restart from
-    [0, 1].  A stack past the gate never asks the predictor and takes 20."""
+    returns, every weight equals the scalar bisection's bit for bit.  The
+    walks cost one ball test; if any row's predicted grid index is not its
+    weight's, a verdict leaves that row's walk and the row restarts the
+    bisection from [0, 1], 20 more halvings.  A stack past the gate never
+    asks the predictor and takes 20."""
     rng = np.random.default_rng(k)
     calls = _counting_verdicts(monkeypatch)
     asked = []
@@ -411,8 +429,7 @@ def test_any_prediction_gives_the_sequential_bisection(monkeypatch, k, guess):
             continue
         (true, guessed), = asked
         named = np.clip(np.nan_to_num(guessed, nan=0.0) * 2**20, 0, 2**20 - 1).astype(int)
-        extra = [(int(n) ^ int(t * 2**20)).bit_length() - 1 for n, t in zip(named, true)]
-        assert len(calls) == 2 + max(0, *extra)
+        assert len(calls) == (2 if np.array_equal(named, true * 2**20) else 2 + 20)
 
 
 @pytest.mark.parametrize("size, certified", [(12, True), (418, True), (419, False), (5000, False)])

@@ -10,15 +10,19 @@ Records every ``solve_lambdas`` call that the answer path makes in
 Serve sessions generate 16 tokens from each two-token prompt drawn from the
 test corpus, feeding every sampled token back.  The recorded calls are then
 replayed and, per workload, the script prints the number of calls, the mean
-rows per call, the ball-test (``_in_ball``) calls per solve, the share of
+selected (query, member) pairs per call and the mean rows per call (the
+answer path projects each distinct pair of row objects once, so rows can be
+fewer than pairs), the ball-test (``_in_ball``) calls per solve, the share of
 the rows the predictor was asked about whose predicted walk certified ("-"
 where it was asked about none), the share of searched rows (those below
 weight 1) in solves past the certify gate, which the predictor never sees,
 the ball-test calls per solve that the one-halving loop made after a walk
 failed or in place of one, the share of tested mixtures that the exact
 divergence kernel decided rather than the power sums, the median over
-repeats of the microseconds per solve, and a digest of every returned
-weight, which a change that only makes the search faster must not move.
+repeats of the microseconds per solve, a digest of the weights the replayed
+calls return, which a change that only makes the search faster must not
+move, and a digest of the per-(query, member) weights that each answer
+returned, which a change that only removes repeated work must not move.
 
 Usage: python scripts/bench_projection.py [--repeats R] [--seed S]
 Run it from the repository root: the fixture config names its corpora by
@@ -54,24 +58,32 @@ SERVE = {  # name: (order, q, eps_g, T, mode)
 }
 
 
-def _recording(run) -> list[tuple]:
-    """The arguments of every ``solve_lambdas`` call that ``run()`` makes."""
-    calls = []
-    original = protocol.solve_lambdas
+def _recording(run) -> tuple[list[tuple], list[np.ndarray]]:
+    """The arguments of every ``solve_lambdas`` call that ``run()`` makes, and
+    the per-(query, member) weights of every answer that selected a member."""
+    calls, pairs = [], []
+    solve, answer = protocol.solve_lambdas, protocol.PredictionSession._answer
 
     def record(*args):
         calls.append(args)
-        return original(*args)
+        return solve(*args)
 
-    protocol.solve_lambdas = record
+    def answered(self, queries):
+        result = answer(self, queries)
+        if result[4].size:
+            pairs.append(result[4])
+        return result
+
+    protocol.solve_lambdas, protocol.PredictionSession._answer = record, answered
     try:
         run()
     finally:
-        protocol.solve_lambdas = original
-    return calls
+        protocol.solve_lambdas, protocol.PredictionSession._answer = solve, answer
+    return calls, pairs
 
 
-def _serve_calls(config: ExperimentConfig, name: str, seed: int) -> list[tuple]:
+def _serve_calls(config: ExperimentConfig, name: str,
+                 seed: int) -> tuple[list[tuple], list[np.ndarray]]:
     order, q, eps_g, T, mode = SERVE[name]
     vocab, private, public = _load_inputs(config.private_corpus_path,
                                           config.public_corpus_path, config.vocab_path)
@@ -163,19 +175,20 @@ def main(argv=None) -> int:
     config = ExperimentConfig.from_file(CONFIG).replace(runs=1)
     workloads = {name: _serve_calls(config, name, args.seed) for name in SERVE}
     workloads["compare"] = _recording(lambda: run_comparison(config))
-    print(f"{'workload':<20} {'calls':>6} {'rows/call':>9} {'tests/solve':>11} "
-          f"{'certified':>9} {'past gate':>9} {'loop/solve':>10} {'exact':>9} {'us/solve':>9}  "
-          f"weights")
-    for name, calls in workloads.items():
+    print(f"{'workload':<20} {'calls':>6} {'pairs/call':>10} {'rows/call':>9} "
+          f"{'tests/solve':>11} {'certified':>9} {'past gate':>9} {'loop/solve':>10} "
+          f"{'exact':>9} {'us/solve':>9}  {'call weights':<16}  pair weights")
+    for name, (calls, pairs) in workloads.items():
         rows = np.mean([len(c[0]) for c in calls])
         tests, walks, searched, asked, certified, gated, exact, digest = _verdict_calls(calls)
         # each solve makes one call at weight 1 and one per predicted walk
         loop = (tests - len(calls) - walks) / len(calls)
         us = _us_per_solve(calls, args.repeats)
-        print(f"{name:<20} {len(calls):>6} {rows:>9.1f} {tests / len(calls):>11.2f} "
+        pair_digest = hashlib.sha256(b"".join(p.tobytes() for p in pairs)).hexdigest()[:16]
+        print(f"{name:<20} {len(calls):>6} {sum(p.size for p in pairs) / len(calls):>10.1f} "
+              f"{rows:>9.1f} {tests / len(calls):>11.2f} "
               f"{f'{certified / asked:.3f}' if asked else '-':>9} {gated / max(searched, 1):>9.3f} "
-              f"{loop:>10.2f} {exact:>9.2e} {us:>9.1f}  "
-              f"{digest}")
+              f"{loop:>10.2f} {exact:>9.2e} {us:>9.1f}  {digest:<16}  {pair_digest}")
     return 0
 
 

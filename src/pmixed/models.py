@@ -11,10 +11,16 @@ File formats:
   vocab     - one token per line, line number = token id, line 0 reserved
               for the unknown token
   snapshot  - JSON lines: one vocab record followed by one record per model
+
+An n-gram model builds and caches a row only for a window it saw in
+training.  Every window it never saw gets the smoothed-uniform row, which
+depends only on ``k`` and the vocabulary size, so all models with the same
+``k`` and vocabulary return one shared row object for such windows.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -35,6 +41,24 @@ def check_smoothing(smoothing_k) -> float:
     if math.isinf(smoothing_k):
         raise ValueError(f"smoothing_k must be finite, got {smoothing_k!r}")
     return float(smoothing_k)
+
+
+def _normalized(weights: np.ndarray) -> "Distribution | None":
+    """Add-k weights divided as ``Distribution()`` divides them (by their
+    total, then by the quotient's sum), or None when they total a non-finite
+    number; checked counts and a finite ``k > 0`` make the row valid."""
+    total = weights.sum()
+    if not math.isfinite(total):
+        return None
+    probs = weights / total
+    return Distribution._already_normalized(probs / float(probs.sum()))
+
+
+@functools.cache
+def _smoothed_uniform(smoothing_k: float, size: int) -> "Distribution | None":
+    """The row of a window with no counts, built once per ``(smoothing_k,
+    size)`` and shared by every model that asks for it."""
+    return _normalized(np.full(size, smoothing_k, dtype=np.float64))
 
 
 class Vocabulary:
@@ -121,7 +145,10 @@ class NGramModel(LanguageModel):
     vocabulary, or weights that total a non-finite number refuse the row
     before it is cached or returned.  Contexts shorter than ``order - 1``
     are left-padded with the unknown token.  Models are immutable after
-    training; distributions are cached per context window.
+    training.  A window seen in training gets its row built on first use
+    and cached per model; every other window gets the one shared
+    smoothed-uniform row of ``(k, |V|)``, which is never cached per model, so
+    the cache holds at most the seen windows.
     """
 
     def __init__(self, order: int, smoothing_k: float, vocab: Vocabulary,
@@ -147,21 +174,22 @@ class NGramModel(LanguageModel):
         cached = self._cache.get(window)
         if cached is not None:
             return cached
+        slot = self.counts.get(window)
         size = self.vocab.size
+        if slot is None and (shared := _smoothed_uniform(self.smoothing_k, size)) is not None:
+            return shared
         weights = np.full(size, self.smoothing_k, dtype=np.float64)
         try:
-            for token, count in self.counts.get(window, {}).items():
+            for token, count in (slot or {}).items():
                 if not 0 <= token < size:
                     raise ValueError(f"token id {token!r} is outside the vocabulary of {size}")
                 weights[token] += check_nonnegative_int(count, "counts")
         except ValueError as err:  # named once per row, not formatted per count
             raise ValueError(f"{err} in the row after {window!r}") from None
-        total = weights.sum()
-        if not math.isfinite(total):
-            raise ValueError(f"counts after {window!r} total {float(total)}, which is not finite")
-        # Distribution()'s divisions; the checked counts and finite k > 0 make it valid
-        probs = weights / total
-        dist = Distribution._already_normalized(probs / float(probs.sum()))
+        dist = _normalized(weights)
+        if dist is None:
+            raise ValueError(f"counts after {window!r} total {float(weights.sum())}, "
+                             f"which is not finite")
         self._cache[window] = dist
         return dist
 

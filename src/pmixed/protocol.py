@@ -10,10 +10,10 @@ then one token uniform per query, so a session's full trace is reproducible
 from its seed.
 
 These steps live in one place, the private answer path, which serves a
-list of queries with one draw, one bisection over every selected (query,
-member) pair, and one charge per query.  ``respond`` runs it on one query and
-samples the token; ``answer_block`` runs it on an evaluation block and
-returns the released distributions.
+list of queries with one draw, one bisection over the distinct rows of the
+selected (query, member) pairs, and one charge per query.  ``respond`` runs
+it on one query and samples the token; ``answer_block`` runs it on an
+evaluation block and returns the released distributions.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ class PredictionSession:
         draw, draw row ``j`` of ``rng.random((b, N + 1))`` for query ``j``
         (``N`` subsample uniforms, then its token uniform), project every
         selected (query, member) pair against its query's public distribution
-        in one :func:`solve_lambdas` call, release each query's mean
+        in one :func:`solve_lambdas` call, which sees each distinct pair of
+        row objects once, release each query's mean
         projection (its public distribution if none was selected) and charge
         each query once.  A model failure releases and charges nothing.
         Returns the released stack, the public distributions, the draws, and
@@ -109,14 +110,27 @@ class PredictionSession:
                     else np.empty((0, self.public_model.vocab.size)))
         lams = np.empty(0)
         if owners.size:
-            rows = np.array([self.ensemble[m].distribution(queries[i]).probs
-                             for i, m in zip(owners.tolist(), members.tolist())])
-            refs = released[owners]
+            # a row's weight depends only on the row and its reference, so
+            # each distinct (public row, member row) object pair is projected
+            # once: members that never saw a window share one row object.
+            # firsts keeps every keyed row alive, so no id is reused.
+            firsts, picks, seen = [], [], {}
+            for i, m in zip(owners.tolist(), members.tolist()):
+                row = self.ensemble[m].distribution(queries[i])
+                pick = seen.setdefault((id(publics[i]), id(row)), len(firsts))
+                if pick == len(firsts):
+                    firsts.append((i, row))
+                picks.append(pick)
+            repeats = len(firsts) < len(picks)
+            rows = np.array([row.probs for _, row in firsts])
+            refs = released[[i for i, _ in firsts]] if repeats else released[owners]
             # one query's rows share a reference: pass it once, so every ball
             # test broadcasts it rather than gathering a copy per row
             lams = solve_lambdas(rows, publics[0] if b == 1 else refs,
                                  self.params.alpha, self.beta_star)
             projected = _mix_arrays(rows, refs, lams[:, np.newaxis])
+            if repeats:
+                lams, projected = lams[picks], projected[picks]
             # np.nonzero lists the pairs query by query, so each query's
             # projections are one run of rows, averaged in draw order
             bounds = np.searchsorted(owners, np.arange(b + 1)).tolist()

@@ -1,11 +1,14 @@
 """Both answer paths against the per-query oracles, and the block's own rules."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import per_query_respond, sequential_evaluation
+import pmixed.protocol as protocol
 from pmixed import (BudgetExhaustedError, Distribution, EpsMode, PartialEvaluationError,
                     PredictionSession, PrivacyParams, StaticTableModel, Vocabulary,
                     perplexity_of_protocol, symmetric_renyi, train_ngram)
@@ -13,12 +16,14 @@ from pmixed.experiment import QUERY_BLOCK, _target_probabilities
 
 
 def random_model(draw, rng, vocab, kind):
-    """An n-gram model trained on random text, or a table with rows for a
-    few short contexts; tables may put zeros in their rows."""
+    """An n-gram model trained on random text or, for ``"empty"``, on none, so
+    that every window gets the shared smoothed-uniform row; or a table with
+    rows for a few short contexts, which may put zeros in its rows."""
     size = vocab.size
-    if kind == "ngram":
+    if kind in ("ngram", "empty"):
         order = draw(st.integers(1, 3))
-        text = [rng.integers(0, size, int(rng.integers(0, 30))).tolist() for _ in range(6)]
+        text = [rng.integers(0, size, int(rng.integers(0, 30))).tolist()
+                for _ in range(6 if kind == "ngram" else 0)]
         return train_ngram(text, order, draw(st.sampled_from([0.01, 0.1, 1.0])), vocab)
 
     def row():
@@ -34,15 +39,31 @@ def random_model(draw, rng, vocab, kind):
 
 @st.composite
 def evaluations(draw):
-    """Members, a public model, test sequences, privacy parameters and a seed."""
+    """Members, a public model, test sequences, privacy parameters and a seed.
+
+    Repeated rows are common: a member may be the public model, an earlier
+    member object again, or an n-gram model that saw no window, and a
+    sequence may repeat a short pattern, so a block meets its windows again.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vocab = Vocabulary(["<unk>"] + [f"t{i}" for i in range(draw(st.integers(1, 7)))])
     public = random_model(draw, rng, vocab, draw(st.sampled_from(["ngram", "table"])))
-    kinds = st.sampled_from(["ngram", "table", "public"])  # "public": feasible at weight 1
-    members = [public if kind == "public" else random_model(draw, rng, vocab, kind)
-               for kind in draw(st.lists(kinds, min_size=1, max_size=5))]
+    # "public": feasible at weight 1; "again": an earlier member (or the public model)
+    kinds = st.sampled_from(["ngram", "table", "public", "again", "empty"])
+    members = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+        if kind == "again":
+            members.append(draw(st.sampled_from(members or [public])))
+        else:
+            members.append(public if kind == "public" else random_model(draw, rng, vocab, kind))
     lengths = draw(st.lists(st.integers(0, 2 * QUERY_BLOCK), min_size=1, max_size=4))
-    sequences = [rng.integers(0, vocab.size, n).tolist() for n in lengths]
+    sequences = []
+    for n in lengths:
+        if draw(st.booleans()):
+            sequences.append(rng.integers(0, vocab.size, n).tolist())
+        else:
+            pattern = rng.integers(0, vocab.size, int(rng.integers(1, 4))).tolist()
+            sequences.append((pattern * n)[:n])
     positions = sum(lengths)
     # budgets ending inside a block, on a block boundary, or past the end
     T = draw(st.sampled_from([max(positions, 1), positions + 1, max(positions - 1, 1), QUERY_BLOCK,
@@ -117,6 +138,44 @@ def test_respond_matches_the_per_query_oracle(instance):
             outcomes.append((outcome, ledger.queries_answered, ledger.spent,
                              session.rng.bit_generator.state))
         assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(evaluations())
+def test_each_distinct_row_pair_is_projected_once(instance):
+    """A block and each ``respond`` pass one row per distinct (public row,
+    member row) object pair to ``solve_lambdas``, return one weight per
+    selected (query, member) pair, and release what the oracle releases."""
+    members, public, sequences, params, seed = instance
+    queries = [seq[:t] for seq in sequences for t in range(len(seq) + 1)][:params.T]
+
+    def distinct(pairs):
+        return len({(id(public.distribution(query)), id(members[m].distribution(query)))
+                    for query, m in pairs})
+
+    def session():
+        return PredictionSession(members, public, params, mode=EpsMode.PAPER_FAITHFUL, seed=seed)
+
+    reference = session()
+    oracle = [per_query_respond.respond(reference, query)[1] for query in queries]
+    sizes, solve = [], protocol.solve_lambdas
+    with mock.patch.object(protocol, "solve_lambdas",
+                           lambda rows, *args: sizes.append(len(rows)) or solve(rows, *args)):
+        released, _, draws, subset, lams = session()._answer(queries)
+        owners = np.nonzero(draws[:, :params.N] < params.q)[0]
+        pairs = [(queries[i], m) for i, m in zip(owners.tolist(), subset.tolist())]
+        assert sizes == ([distinct(pairs)] if pairs else [])
+        assert lams.shape == subset.shape
+        assert [row.tobytes() for row in released] == [r.aggregate.probs.tobytes() for r in oracle]
+        served = session()
+        for query, expected in zip(queries, oracle):
+            del sizes[:]
+            record = served.respond(query)[1]
+            assert sizes == ([distinct((query, m) for m in record.subset)]
+                             if record.subset else [])
+            assert tuple(record.mixing_weights) == record.subset
+            assert record.mixing_weights == expected.mixing_weights
+            assert record.aggregate.probs.tobytes() == expected.aggregate.probs.tobytes()
 
 
 @pytest.fixture

@@ -171,6 +171,43 @@ class TestNGram:
             model.distribution([2, 1])
         assert (2, 1) not in model._cache
 
+    def test_unseen_windows_share_one_row(self, vocab):
+        data = [vocab.encode("a b c".split())]
+        public = build_public_model(data, 2, 0.1, vocab)
+        members = [train_ngram([[1, 1]], 2, 0.1, vocab), train_ngram([], 3, 0.1, vocab)]
+        shared = public.distribution([3])  # no model saw the window (3,)
+        assert members[0].distribution([3]) is shared
+        assert members[1].distribution([2, 3]) is shared
+        assert train_ngram(data, 2, 1.0, vocab).distribution([3]) is not shared
+        wider = Vocabulary([*vocab.tokens, "d"])
+        assert train_ngram([], 2, 0.1, wider).distribution([3]) is not shared
+        # bit for bit the row that the per-window arithmetic builds
+        weights = np.full(vocab.size, 0.1)
+        probs = weights / weights.sum()
+        assert shared.probs.tobytes() == (probs / float(probs.sum())).tobytes()
+        seen_empty = NGramModel(2, 0.1, vocab, {(3,): {}}).distribution([3])
+        assert seen_empty is not shared
+        assert seen_empty.probs.tobytes() == shared.probs.tobytes()
+
+    def test_only_seen_windows_are_cached(self):
+        vocab = Vocabulary(["<unk>"] + [f"t{i}" for i in range(20)])
+        model = train_ngram([[1, 2, 3]], 3, 0.1, vocab)
+        for a in range(10):
+            for b in range(10, 20):
+                model.distribution([a, b])
+        assert model._cache == {}
+        seen = model.distribution([1, 2])
+        assert model._cache == {(1, 2): seen}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_an_unseen_row_whose_total_is_not_finite_names_its_window(self, vocab):
+        model = NGramModel(2, 1e308, vocab)
+        for window in [(1,), (2,)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"counts after {window!r} total inf, which is not finite")):
+                model.distribution(list(window))
+        assert model._cache == {}
+
     def test_public_model_builder_matches_training(self, vocab):
         data = [vocab.encode("a b c".split())]
         direct = train_ngram(data, 2, 0.1, vocab)

@@ -5,7 +5,10 @@ Records every ``solve_lambdas`` call that the answer path makes in
   serve-bigram        an order-2 session, q=0.03, eps_g=8, T=1024, conservative
   serve-trigram-wide  an order-3 session, q=0.25, eps_g=32, T=512, paper-faithful
   compare             one ``run_comparison`` of the fixture config (runs=1),
-                      whose evaluation blocks project per-row references
+                      whose evaluation blocks project many queries per call
+
+Every call passes a ``(k, V)`` stack of references, row ``j`` the public
+row of pair ``j``'s query, so the replays time that one form.
 
 Serve sessions generate 16 tokens from each two-token prompt drawn from the
 test corpus, feeding every sampled token back.  The recorded calls are then

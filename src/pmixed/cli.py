@@ -24,6 +24,7 @@ from .experiment import (
     SWEEP_AXES,
     ConfigError,
     ExperimentConfig,
+    _check_output_path,
     _load_inputs,
     _record_line,
     _train_arms,
@@ -153,6 +154,8 @@ def _iter_contexts(args):
 
 def _cmd_predict(args, out) -> int:
     check_positive_int(args.steps, "--steps")
+    if args.trace:  # refused before any token is released without its trace
+        _check_output_path(args.trace, "trace")
     vocab, public, members = load_snapshot(args.snapshot)
     session = PredictionSession(members, public, _params(args, len(members)),
                                 mode=args.mode, seed=args.seed)

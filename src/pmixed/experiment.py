@@ -66,6 +66,16 @@ class ConfigError(ValueError):
     """An experiment configuration that cannot be run as given."""
 
 
+def _check_output_path(path, label: str) -> None:
+    """Refuse a file to be written whose directory does not exist, or that
+    is itself a directory, before any work is done for it."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{label} directory not found: {directory!r}")
+    if os.path.isdir(path):
+        raise ConfigError(f"{label} path is a directory: {str(path)!r}")
+
+
 class PartialEvaluationError(RuntimeError):
     """The privacy budget ran out before all test positions were scored."""
 
@@ -121,6 +131,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{label} path not found: {path!r}")
         if self.vocab_path is not None and not os.path.exists(self.vocab_path):
             raise ConfigError(f"vocab path not found: {self.vocab_path!r}")
+        if self.output_path:
+            _check_output_path(self.output_path, "output")
         if not isinstance(self.mode, EpsMode):
             raise ConfigError(f"mode must be an EpsMode, got {self.mode!r}")
         try:
@@ -148,6 +160,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         mode = data.get("mode", EpsMode.CONSERVATIVE)
         if isinstance(mode, str):
@@ -157,6 +171,10 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        missing = [f.name for f in dataclasses.fields(cls)
+                   if f.default is dataclasses.MISSING and f.name not in data]
+        if missing:
+            raise ConfigError(f"config misses {', '.join(missing)}")
         return cls(**data)
 
     @classmethod

@@ -356,7 +356,8 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
 
     A ``ValueError`` naming the offending line refuses a record that is not
     a vocab, public or member record, misses one of its fields or holds one
-    of the wrong type or range; a second vocab or public record, or a model
+    of the wrong type or range, such as vocab tokens that are not a JSON list
+    of distinct strings; a second vocab or public record, or a model
     before the vocab; member indices other than exactly 0..N-1, in any
     order; and members that disagree on order or ``smoothing_k``.  Window
     ids, token ids and counts must be JSON integers, so ``1.5``, ``-0.5``,
@@ -387,7 +388,13 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
             if kind == "vocab":
                 if vocab is not None:
                     raise ValueError(f"{where}: a second vocab record")
-                vocab = Vocabulary(record["tokens"])
+                tokens = record["tokens"]
+                if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+                    raise ValueError(f"{where}: vocab tokens must be a list of strings")
+                try:
+                    vocab = Vocabulary(tokens)
+                except ValueError as err:  # too few or repeated tokens
+                    raise ValueError(f"{where}: {err}") from None
                 continue
             if vocab is None:
                 raise ValueError(f"{where}: model record precedes the vocab record")

@@ -7,11 +7,11 @@ definition, ``_in_ball``, serves the search and ``mollifier_membership``.
 The projection keeps the largest weight whose mixture
 ``lam * p + (1 - lam) * p0`` is in the ball.  The constraint is monotone in
 the weight, so one bisection over a ``(k, V)`` stack finds every row's
-weight.  The stack is a query's whole subset, or every (query, member) pair
-of an evaluation block with each row against its own query's reference.  A
-row in the ball at weight 1 keeps it; every other row runs the same fixed
-number of halvings (20 at the default tolerance) and returns its bracket's
-lower endpoint, which starts at ``p0`` and moves only to accepted weights.
+weight.  The stack holds the (query, member) pairs of one query or of an
+evaluation block, each row against its own query's reference.  A row in
+the ball at weight 1 keeps it; every other row runs the same fixed number
+of halvings (20 at the default tolerance) and returns its bracket's lower
+endpoint, which starts at ``p0`` and moves only to accepted weights.
 
 When a stack's rows times halvings times tokens fit in ``CERTIFY_ELEMENTS``,
 a float predictor estimates each row's weight from the two directed power
@@ -166,11 +166,11 @@ def _power_sum_verdicts(mixtures: np.ndarray, refs: np.ndarray, alpha: float, bo
 
 def _in_ball(mixtures: np.ndarray, refs: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """The RD-mollifier set: whether each ``(..., V)`` mixture is within symmetric
-    order-``alpha`` divergence ``beta * alpha`` of its reference, the ``(V,)``
-    ``refs`` or the stack of them that broadcasts against the mixtures.  A
-    divergence below float precision rounds to 0, so at radius 0 only the
-    reference itself, bit for bit, is in.  The power sums decide what they
-    can; the kernel decides the rest."""
+    order-``alpha`` divergence ``beta * alpha`` of its reference in ``refs``,
+    one ``(V,)`` row or a stack, such as ``(k, 1, V)`` against ``(k, points,
+    V)``, that broadcasts against the mixtures.  A divergence below float
+    precision rounds to 0, so at radius 0 only the reference itself, bit for
+    bit, is in.  The power sums decide what they can; the kernel the rest."""
     if beta == 0.0:
         return np.all(mixtures == refs, axis=-1)
     bound = beta * alpha
@@ -179,8 +179,7 @@ def _in_ball(mixtures: np.ndarray, refs: np.ndarray, alpha: float, beta: float) 
         return _renyi_arrays(mixtures, refs, alpha, symmetric=True) <= bound
     inside, unsure = cheap
     if unsure.any():
-        if refs.ndim > 1:
-            refs = np.broadcast_to(refs, mixtures.shape)[unsure]
+        refs = np.broadcast_to(refs, mixtures.shape)[unsure]
         inside[unsure] = _renyi_arrays(mixtures[unsure], refs, alpha, symmetric=True) <= bound
     return inside
 
@@ -213,7 +212,7 @@ def _newton_on_power_sum(d, refs, e, lam, log_target, steps):
         lost = ~(step > 0.0)
         if lost.any():
             alone = np.expm1((np.logaddexp(0.0, log_target)
-                              - np.log(refs if refs.ndim == 1 else refs[lost])) / e) / d[lost]
+                              - np.log(refs[lost])) / e) / d[lost]
             step[lost] = np.where(alone > 0.0, alone, np.inf).min(axis=-1)
         lam = np.minimum(step, 1.0)
     return lam
@@ -244,8 +243,8 @@ def _predict_weights(rows, refs, alpha, beta):
         back = (refs / (1.0 + lam[:, np.newaxis] * d) ** (alpha - 1.0)).sum(axis=-1)
         binds = np.log(back - 1.0) > log_target
         if binds.any():
-            lam[binds] = _newton_on_power_sum(d[binds], refs if refs.ndim == 1 else refs[binds],
-                                              1.0 - alpha, lam[binds], log_target, 16)
+            lam[binds] = _newton_on_power_sum(d[binds], refs[binds], 1.0 - alpha, lam[binds],
+                                              log_target, 16)
     return lam
 
 
@@ -264,31 +263,30 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
     :class:`Distribution` but used as given.  ``p0`` is either one public
     distribution shared by every row, or a ``(k, V)`` stack holding row
     ``i``'s own reference, checked and used like ``P``; the second form
-    projects the (query, member) pairs of many queries in one call.  Row
-    ``i``'s weight depends only on ``P[i]`` and its reference.
+    projects the (query, member) pairs of many queries in one call.  A shared
+    reference is expanded into the stack form once at entry, the only form the
+    search sees.  Row ``i``'s weight depends only on ``P[i]`` and its reference.
     """
     a = _check_finite_order(alpha)
     b = _check_radius(beta)
     check_positive(tol, "tolerance")
     rows = np.asarray(P, dtype=np.float64)
-    shared = isinstance(p0, Distribution) or np.ndim(p0) == 1
-    refs = _as_probs(p0) if shared else np.asarray(p0, dtype=np.float64)
-    if not (shared or refs.shape == rows.shape):
-        raise ValueError(f"expected one reference or a stack of references shaped like "
-                         f"the rows {rows.shape}, got shape {refs.shape}")
-    if rows.ndim != 2 or rows.shape[1] != refs.shape[-1]:
-        raise ValueError(f"expected a (k, V) stack of rows over the reference's V tokens, "
-                         f"got shape {rows.shape}")
-    check_probabilities(rows, "rows")
-    if not shared:
+    if isinstance(p0, Distribution) or np.ndim(p0) == 1:
+        ref = _as_probs(p0)
+        refs = np.broadcast_to(ref, rows.shape[:1] + ref.shape)
+    else:
+        refs = np.asarray(p0, dtype=np.float64)
         check_probabilities(refs, "references")
-    # mixtures are (row, point, V) stacks; a per-row reference gets a point axis
-    if not shared:
-        refs = refs[:, np.newaxis, :]
+    if rows.ndim != 2 or refs.shape != rows.shape:
+        raise ValueError(f"expected a (k, V) stack of rows and one reference or a stack of "
+                         f"references like it, got {rows.shape} and {refs.shape}")
+    check_probabilities(rows, "rows")
+    # mixtures are (row, point, V) stacks, so every reference gets a point axis
+    refs = refs[:, np.newaxis, :]
     search = ~_in_ball(rows[:, np.newaxis, :], refs, a, b)[:, 0]
     weights = np.ones(rows.shape[0])
     if search.any():
-        rows, refs = rows[search, np.newaxis, :], refs if shared else refs[search]
+        rows, refs = rows[search, np.newaxis, :], refs[search]
         n = rows.shape[0]
         steps = next((s for s in range(MAX_BISECTION_STEPS) if 0.5**s <= tol),
                      MAX_BISECTION_STEPS)
@@ -296,8 +294,7 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
         # past 52 halvings a midpoint may round, so a walk's exact dyadics
         # would no longer be the bisection's midpoints
         if 0 < steps <= 52 and n * steps * rows.shape[-1] <= CERTIFY_ELEMENTS:
-            k = _grid_index(_predict_weights(rows[:, 0], refs if shared else refs[:, 0], a, b),
-                            steps)
+            k = _grid_index(_predict_weights(rows[:, 0], refs[:, 0], a, b), steps)
             # the walk that ends at k / 2**steps visits at halving j the exact
             # dyadic ((k >> (steps - j)) | 1) / 2**j, which is the sequential
             # bisection's 0.5 * (lo + hi), and keeps the upper half there iff
@@ -311,7 +308,7 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
         # the rows left halve once per ball test from [0, 1]; a lower end
         # starts at p0 itself and moves only to points verified feasible
         if at.size:
-            rows, refs = rows[at], refs if shared else refs[at]
+            rows, refs = rows[at], refs[at]
             low, high = np.zeros(at.size), np.ones(at.size)
             for _ in range(steps):
                 mid = 0.5 * (low + high)

@@ -121,16 +121,12 @@ class PredictionSession:
                 if pick == len(firsts):
                     firsts.append((i, row))
                 picks.append(pick)
-            repeats = len(firsts) < len(picks)
+            # row j against its own query's public row, for one query too
             rows = np.array([row.probs for _, row in firsts])
-            refs = released[[i for i, _ in firsts]] if repeats else released[owners]
-            # one query's rows share a reference: pass it once, so every ball
-            # test broadcasts it rather than gathering a copy per row
-            lams = solve_lambdas(rows, publics[0] if b == 1 else refs,
-                                 self.params.alpha, self.beta_star)
-            projected = _mix_arrays(rows, refs, lams[:, np.newaxis])
-            if repeats:
-                lams, projected = lams[picks], projected[picks]
+            refs = released[[i for i, _ in firsts]]
+            lams = solve_lambdas(rows, refs, self.params.alpha, self.beta_star)
+            projected = _mix_arrays(rows, refs, lams[:, np.newaxis])[picks]
+            lams = lams[picks]
             # np.nonzero lists the pairs query by query, so each query's
             # projections are one run of rows, averaged in draw order
             bounds = np.searchsorted(owners, np.arange(b + 1)).tolist()

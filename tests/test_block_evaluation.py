@@ -144,35 +144,50 @@ def test_respond_matches_the_per_query_oracle(instance):
 @given(evaluations())
 def test_each_distinct_row_pair_is_projected_once(instance):
     """A block and each ``respond`` pass one row per distinct (public row,
-    member row) object pair to ``solve_lambdas``, return one weight per
-    selected (query, member) pair, and release what the oracle releases."""
+    member row) object pair to ``solve_lambdas``, with a ``(k, V)`` stack of
+    references whose row ``j`` is the public row of pair ``j``'s query, for
+    one query as for many; return one weight per selected (query, member)
+    pair; and release what the oracle releases."""
     members, public, sequences, params, seed = instance
     queries = [seq[:t] for seq in sequences for t in range(len(seq) + 1)][:params.T]
 
     def distinct(pairs):
-        return len({(id(public.distribution(query)), id(members[m].distribution(query)))
-                    for query, m in pairs})
+        """The query of each distinct (public row, member row) object pair,
+        in the order the pairs first appear."""
+        firsts = {}
+        for query, m in pairs:
+            key = (id(public.distribution(query)), id(members[m].distribution(query)))
+            firsts.setdefault(key, query)
+        return list(firsts.values())
+
+    def check_calls(pairs):
+        firsts = distinct(pairs)
+        assert len(calls) == (1 if firsts else 0)
+        for rows, refs in calls:
+            assert isinstance(refs, np.ndarray)
+            assert refs.shape == rows.shape == (len(firsts), public.vocab.size)
+            assert [ref.tobytes() for ref in refs] \
+                == [public.distribution(query).probs.tobytes() for query in firsts]
+        del calls[:]
 
     def session():
         return PredictionSession(members, public, params, mode=EpsMode.PAPER_FAITHFUL, seed=seed)
 
     reference = session()
     oracle = [per_query_respond.respond(reference, query)[1] for query in queries]
-    sizes, solve = [], protocol.solve_lambdas
+    calls, solve = [], protocol.solve_lambdas
     with mock.patch.object(protocol, "solve_lambdas",
-                           lambda rows, *args: sizes.append(len(rows)) or solve(rows, *args)):
+                           lambda rows, refs, *args: calls.append((rows, refs))
+                           or solve(rows, refs, *args)):
         released, _, draws, subset, lams = session()._answer(queries)
         owners = np.nonzero(draws[:, :params.N] < params.q)[0]
-        pairs = [(queries[i], m) for i, m in zip(owners.tolist(), subset.tolist())]
-        assert sizes == ([distinct(pairs)] if pairs else [])
+        check_calls([(queries[i], m) for i, m in zip(owners.tolist(), subset.tolist())])
         assert lams.shape == subset.shape
         assert [row.tobytes() for row in released] == [r.aggregate.probs.tobytes() for r in oracle]
         served = session()
         for query, expected in zip(queries, oracle):
-            del sizes[:]
             record = served.respond(query)[1]
-            assert sizes == ([distinct((query, m) for m in record.subset)]
-                             if record.subset else [])
+            check_calls([(query, m) for m in record.subset])
             assert tuple(record.mixing_weights) == record.subset
             assert record.mixing_weights == expected.mixing_weights
             assert record.aggregate.probs.tobytes() == expected.aggregate.probs.tobytes()

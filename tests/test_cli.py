@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import pmixed.experiment as experiment
 from pmixed import Accountant, EpsMode, ExperimentConfig, PrivacyParams
 from pmixed.cli import build_parser, main
 from pmixed.experiment import _record_line
@@ -247,6 +248,18 @@ class TestTrainAndPredict:
             header, *answers = [json.loads(text) for text in trace.read_text().splitlines()]
             assert (header["queries_answered"], answers) == (0, [])
 
+    def test_predict_refuses_a_trace_path_it_cannot_write_before_answering(self, snapshot,
+                                                                           capsys, tmp_path):
+        for trace, problem in ((tmp_path / "missing" / "t.jsonl", "trace directory not found"),
+                               (tmp_path, "trace path is a directory")):
+            code = main(["predict", "--snapshot", str(snapshot), "--context", "v1",
+                         "--queries", "4", "--q", "0.5", "--trace", str(trace)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert f"error: {problem}" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "missing").exists()
+
     def test_predict_reads_input_file(self, snapshot, capsys, tmp_path):
         contexts = tmp_path / "contexts.txt"
         contexts.write_text("v1 v2\nv3\n", encoding="utf-8")
@@ -273,6 +286,39 @@ class TestCompareAndSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert "usage" in err and "not found" in err
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_output_into_a_missing_directory_exits_2_before_training(self, tiny_corpus,
+                                                                    tmp_path, capsys,
+                                                                    command, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before the output path was checked")
+
+        monkeypatch.setattr(experiment, "_train_arms", no_training)
+        out = tmp_path / "missing" / "report.jsonl"
+        axis = ["--axis", "eps_G", "--values", "0.5"] if command == "sweep" else []
+        code = main([command, "--config", str(tiny_corpus["config_path"]), *axis,
+                     "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: output directory not found" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[1, 2]", "config must be a JSON object, got list"),
+        ('"abc"', "config must be a JSON object, got str"),
+        ("{}", "config misses private_corpus_path, public_corpus_path, test_corpus_path"),
+        ('{"private_corpus_path": "p.txt"}',
+         "config misses public_corpus_path, test_corpus_path"),
+    ])
+    def test_compare_config_that_is_not_a_config_object_exits_2(self, tmp_path, capsys,
+                                                                text, problem):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        assert main(["compare", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {problem}\n" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("bad", [{"T": float("inf")}, {"runs": 1.5},
                                      {"max_seq_len": -3}])

@@ -408,6 +408,19 @@ class TestSnapshotRefusals:
                                              f"{ks[line - 3]} differs from line 3's 2 and 0.1"):
             load_snapshot(_write(path, records))
 
+    @pytest.mark.parametrize("tokens, problem", [
+        ("abc", "vocab tokens must be a list of strings"),
+        (["<unk>", 7, None], "vocab tokens must be a list of strings"),
+        (["<unk>"], "vocabulary must contain at least 2 tokens"),
+        (["<unk>", "a", "a"], "vocabulary tokens must be distinct"),
+    ])
+    def test_vocab_tokens_are_a_list_of_distinct_strings(self, vocab, tmp_path, tokens,
+                                                         problem):
+        path, records = _snapshot_records(vocab, tmp_path)
+        records[0]["tokens"] = tokens
+        with pytest.raises(ValueError, match=f"^snapshot line 1: {problem}"):
+            load_snapshot(_write(path, records))
+
     @pytest.mark.parametrize("line, field, problem", [
         (1, "tokens", "vocab record misses tokens"),
         (2, "order", "public record misses order"),

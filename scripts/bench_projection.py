@@ -1,6 +1,7 @@
 """Record and replay the projection searches of three fixture workloads.
 
-Records every ``solve_lambdas`` call that the answer path makes in
+Records every call of the projection search (``mollifier._search_lambdas``,
+the unchecked search behind ``solve_lambdas``) that the answer path makes in
 
   serve-bigram        an order-2 session, q=0.03, eps_g=8, T=1024, conservative
   serve-trigram-wide  an order-3 session, q=0.25, eps_g=32, T=512, paper-faithful
@@ -8,7 +9,9 @@ Records every ``solve_lambdas`` call that the answer path makes in
                       whose evaluation blocks project many queries per call
 
 Every call passes a ``(k, V)`` stack of references, row ``j`` the public
-row of pair ``j``'s query, so the replays time that one form.
+row of pair ``j``'s query, and the replays call the search as the answer
+path does, so they time that one form without the entry checks of
+``solve_lambdas``.
 
 Serve sessions generate 16 tokens from each two-token prompt drawn from the
 test corpus, feeding every sampled token back.  The recorded calls are then
@@ -62,10 +65,10 @@ SERVE = {  # name: (order, q, eps_g, T, mode)
 
 
 def _recording(run) -> tuple[list[tuple], list[np.ndarray]]:
-    """The arguments of every ``solve_lambdas`` call that ``run()`` makes, and
-    the per-(query, member) weights of every answer that selected a member."""
+    """The arguments of every search call that ``run()`` makes, and the
+    per-(query, member) weights of every answer that selected a member."""
     calls, pairs = [], []
-    solve, answer = protocol.solve_lambdas, protocol.PredictionSession._answer
+    solve, answer = protocol._search_lambdas, protocol.PredictionSession._answer
 
     def record(*args):
         calls.append(args)
@@ -77,11 +80,11 @@ def _recording(run) -> tuple[list[tuple], list[np.ndarray]]:
             pairs.append(result[4])
         return result
 
-    protocol.solve_lambdas, protocol.PredictionSession._answer = record, answered
+    protocol._search_lambdas, protocol.PredictionSession._answer = record, answered
     try:
         run()
     finally:
-        protocol.solve_lambdas, protocol.PredictionSession._answer = solve, answer
+        protocol._search_lambdas, protocol.PredictionSession._answer = solve, answer
     return calls, pairs
 
 
@@ -141,7 +144,7 @@ def _verdict_calls(calls: list[tuple]) -> tuple[int, int, int, int, int, int, fl
     try:
         for args in calls:
             named.clear()
-            weights = mollifier.solve_lambdas(*args)
+            weights = mollifier._search_lambdas(*args)
             digest.update(weights.tobytes())
             below = weights[weights < 1.0]
             searched += below.size
@@ -159,7 +162,7 @@ def _verdict_calls(calls: list[tuple]) -> tuple[int, int, int, int, int, int, fl
 
 
 def _us_per_solve(calls: list[tuple], repeats: int) -> float:
-    solve = mollifier.solve_lambdas
+    solve = mollifier._search_lambdas
     clock = time.perf_counter
     totals = []
     for _ in range(repeats):

@@ -122,17 +122,18 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check the paths and values; returns this config with every count
         and the seed as an int, the form a run uses."""
-        for label, path in (
-            ("private corpus", self.private_corpus_path),
-            ("public corpus", self.public_corpus_path),
-            ("test corpus", self.test_corpus_path),
-        ):
-            if not path or not os.path.exists(path):
+        for label, path in (("private corpus", self.private_corpus_path),
+                            ("public corpus", self.public_corpus_path), ("vocab", self.vocab_path),
+                            ("test corpus", self.test_corpus_path), ("output", self.output_path)):
+            if path is None and label in ("vocab", "output"):
+                continue
+            # a path that is not text may be a file descriptor: os.path.exists(1)
+            if not isinstance(path, (str, os.PathLike)):
+                raise ConfigError(f"{label} path must be a string, got {path!r}")
+            if label == "output":
+                _check_output_path(path, label)
+            elif not os.path.exists(path):
                 raise ConfigError(f"{label} path not found: {path!r}")
-        if self.vocab_path is not None and not os.path.exists(self.vocab_path):
-            raise ConfigError(f"vocab path not found: {self.vocab_path!r}")
-        if self.output_path:
-            _check_output_path(self.output_path, "output")
         if not isinstance(self.mode, EpsMode):
             raise ConfigError(f"mode must be an EpsMode, got {self.mode!r}")
         try:

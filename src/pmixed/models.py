@@ -12,10 +12,11 @@ File formats:
               for the unknown token
   snapshot  - JSON lines: one vocab record followed by one record per model
 
-An n-gram model builds and caches a row only for a window it saw in
-training.  Every window it never saw gets the smoothed-uniform row, which
-depends only on ``k`` and the vocabulary size, so all models with the same
-``k`` and vocabulary return one shared row object for such windows.
+Counts are checked once, as ``NGramModel``, ``load_snapshot`` or ``train_ngram``
+takes them in.  An n-gram model builds and caches a row only for a window it
+saw in training.  Every window it never saw gets the smoothed-uniform row,
+which depends only on ``k`` and the vocabulary size, so all models with the
+same ``k`` and vocabulary return one shared row object for such windows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
+import sys
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
@@ -41,6 +42,29 @@ def check_smoothing(smoothing_k) -> float:
     if math.isinf(smoothing_k):
         raise ValueError(f"smoothing_k must be finite, got {smoothing_k!r}")
     return float(smoothing_k)
+
+
+def _checked_counts(entries, width: int, size: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """``(window, [(token, count), ...])`` entries as a dict, checked as it is
+    built: ``width`` ids a window, token ids in ``[0, size)`` and counts in
+    ``[0, float max]``, each an exact ``int`` (not a bool, float or text)."""
+    counts, top = {}, sys.float_info.max
+    for window, slot in entries:
+        key = tuple(window)
+        for token in key:
+            if type(token) is not int:
+                raise ValueError(f"window {window!r} holds {token!r}, not an integer token id")
+        if len(key) != width:
+            raise ValueError(f"window {window!r} holds {len(key)} token ids, "
+                             f"not order - 1 = {width}")
+        counts[key] = row = {}
+        for token, count in slot:  # tests spelt out, not all(): this is most of a load
+            if not (type(token) is int is type(count) and 0 <= token < size
+                    and 0 <= count <= top):
+                raise ValueError(f"token id {token!r} and count {count!r} after window "
+                                 f"{key!r} must be integers in [0, {size}) and [0, float max]")
+            row[token] = count
+    return counts
 
 
 def _normalized(weights: np.ndarray) -> "Distribution | None":
@@ -140,15 +164,15 @@ class NGramModel(LanguageModel):
     The probability of token ``w`` after context window ``c`` is
     ``(count(c, w) + k) / (count(c, .) + k * |V|)``, which is strictly
     positive for every token, so divergences from this model are always
-    finite.  ``k`` must be finite.  When a row is first built, a count that
-    is not a nonnegative integer a float holds, a token id outside the
-    vocabulary, or weights that total a non-finite number refuse the row
-    before it is cached or returned.  Contexts shorter than ``order - 1``
-    are left-padded with the unknown token.  Models are immutable after
-    training.  A window seen in training gets its row built on first use
-    and cached per model; every other window gets the one shared
-    smoothed-uniform row of ``(k, |V|)``, which is never cached per model, so
-    the cache holds at most the seen windows.
+    finite.  ``k`` must be finite.  ``counts`` maps windows of ``order - 1``
+    token ids to token ids and counts, checked and copied as
+    :func:`load_snapshot` checks them.  A row whose weights total a non-finite
+    number is refused when first built, before it is cached or returned.
+    Contexts shorter than ``order - 1`` are left-padded with the unknown
+    token.  Models are immutable after training.  A window seen in training
+    gets its row built on first use and cached per model; every other window
+    gets the one shared smoothed-uniform row of ``(k, |V|)``, which is never
+    cached per model, so the cache holds at most the seen windows.
     """
 
     def __init__(self, order: int, smoothing_k: float, vocab: Vocabulary,
@@ -157,7 +181,8 @@ class NGramModel(LanguageModel):
         self.context_width = self.order - 1
         self.smoothing_k = check_smoothing(smoothing_k)
         self.vocab = vocab
-        self.counts = counts if counts is not None else {}
+        self.counts = _checked_counts(((w, s.items()) for w, s in (counts or {}).items()),
+                                      self.context_width, vocab.size)
         self._cache: dict[tuple[int, ...], Distribution] = {}
 
     def _window(self, context: Sequence[int]) -> tuple[int, ...]:
@@ -174,18 +199,12 @@ class NGramModel(LanguageModel):
         cached = self._cache.get(window)
         if cached is not None:
             return cached
-        slot = self.counts.get(window)
-        size = self.vocab.size
+        slot, size = self.counts.get(window), self.vocab.size
         if slot is None and (shared := _smoothed_uniform(self.smoothing_k, size)) is not None:
             return shared
         weights = np.full(size, self.smoothing_k, dtype=np.float64)
-        try:
-            for token, count in (slot or {}).items():
-                if not 0 <= token < size:
-                    raise ValueError(f"token id {token!r} is outside the vocabulary of {size}")
-                weights[token] += check_nonnegative_int(count, "counts")
-        except ValueError as err:  # named once per row, not formatted per count
-            raise ValueError(f"{err} in the row after {window!r}") from None
+        for token, count in (slot or {}).items():
+            weights[token] += count
         dist = _normalized(weights)
         if dist is None:
             raise ValueError(f"counts after {window!r} total {float(weights.sum())}, "
@@ -201,12 +220,14 @@ def train_ngram(data: Iterable[Sequence[int]], order: int, smoothing_k: float,
     Counts come from every length-``order`` window contained in a sequence;
     sequences shorter than ``order`` contribute nothing.  Empty data is not
     an error: the model then predicts the uniform add-k distribution
-    everywhere.
+    everywhere.  A token id outside the vocabulary is refused.
     """
     model = NGramModel(order, smoothing_k, vocab)
-    need = model.order - 1
+    need, known = model.order - 1, frozenset(range(vocab.size))
     for seq in data:
         ids = [int(t) for t in seq]
+        if not known.issuperset(ids):  # one C-level pass; min() and max() take two
+            raise ValueError(f"token ids {sorted({*ids} - known)} are not in 0..{len(known) - 1}")
         for stop in range(need, len(ids)):
             window = tuple(ids[stop - need:stop])
             target = ids[stop]
@@ -315,22 +336,6 @@ def _model_record(model: NGramModel, role: str, index: int | None = None) -> dic
     return record
 
 
-def _model_from_record(record: dict, vocab: Vocabulary) -> NGramModel:
-    """The model of a snapshot record, whose window ids, token ids and counts
-    must be JSON integers and whose windows must be ``order - 1`` ids long."""
-    model = NGramModel(record["order"], record["smoothing_k"], vocab)
-    index, width, counts = operator.index, model.context_width, model.counts
-    for window, slot in record["counts"]:
-        key = tuple(window)
-        for token in key:
-            index(token)  # a TypeError unless a JSON integer
-        if len(key) != width:
-            raise ValueError(f"window {window!r} holds {len(key)} token ids, "
-                             f"not order - 1 = {width}")
-        counts[key] = {index(tok): index(cnt) for tok, cnt in slot}
-    return model
-
-
 def save_snapshot(path, vocab: Vocabulary, public: NGramModel,
                   members: Sequence[NGramModel]) -> None:
     """Write a vocab + ensemble snapshot as JSON lines; the round trip
@@ -359,15 +364,11 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
     of the wrong type or range, such as vocab tokens that are not a JSON list
     of distinct strings; a second vocab or public record, or a model
     before the vocab; member indices other than exactly 0..N-1, in any
-    order; and members that disagree on order or ``smoothing_k``.  Window
-    ids, token ids and counts must be JSON integers, so ``1.5``, ``-0.5``,
-    ``"2"`` and ``Infinity`` are refused rather than rounded, and each
-    window must hold ``order - 1`` ids; a non-finite ``smoothing_k`` is
-    refused too.  A model record holds no ``true`` or ``false``, which
-    would otherwise be read as 1 and 0.  The value
-    checks of :class:`NGramModel` (negative counts, counts beyond the float
-    range, tokens outside the vocabulary, row totals) run when a row is
-    first built, and their refusal names the row's window.
+    order; and members that disagree on order or ``smoothing_k``.  Every
+    window, token id and count is checked as it is read, as
+    :class:`NGramModel` checks them, so ``1.5``, ``"2"``, ``true``,
+    ``Infinity``, ``-1`` and ``10**309`` are refused, naming the window,
+    before this returns.  A non-finite ``smoothing_k`` is refused too.
     """
     vocab = public = None
     members: dict[int, tuple[int, NGramModel]] = {}  # index -> (line, model)
@@ -375,52 +376,45 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            where = f"snapshot line {number}"
-            kind = record.get("kind") if isinstance(record, dict) else None
-            role = record.get("role") if kind == "ngram" else None
-            fields = _RECORD_FIELDS.get((kind, role))
-            if fields is None:
-                raise ValueError(f"{where}: expected a vocab, public or member record, "
-                                 f"got kind {kind!r} and role {role!r}")
-            if missing := [name for name in fields if name not in record]:
-                raise ValueError(f"{where}: {role or kind} record misses {', '.join(missing)}")
-            if kind == "vocab":
-                if vocab is not None:
-                    raise ValueError(f"{where}: a second vocab record")
-                tokens = record["tokens"]
-                if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-                    raise ValueError(f"{where}: vocab tokens must be a list of strings")
-                try:
-                    vocab = Vocabulary(tokens)
-                except ValueError as err:  # too few or repeated tokens
-                    raise ValueError(f"{where}: {err}") from None
-                continue
-            if vocab is None:
-                raise ValueError(f"{where}: model record precedes the vocab record")
-            # operator.index reads a bool as 0 or 1, and no field of a model
-            # record is a boolean or free text, so the line is refused whole
-            if "true" in line or "false" in line:
-                raise ValueError(f"{where}: a model record holds no booleans")
-            try:
-                model = _model_from_record(record, vocab)
-            except (TypeError, ValueError, OverflowError) as err:  # wrong type or range
-                raise ValueError(f"{where}: {err}") from None
-            if role == "public":
-                if public is not None:
-                    raise ValueError(f"{where}: a second public record")
-                public = model
-                continue
-            index = check_nonnegative_int(record["index"], f"{where}: member index")
-            if index in members:
-                raise ValueError(f"{where}: member index {index} repeats line {members[index][0]}")
-            if members:
-                first_line, first = next(iter(members.values()))
-                if (model.order, model.smoothing_k) != (first.order, first.smoothing_k):
-                    raise ValueError(f"{where}: member of order {model.order} and smoothing_k "
-                                     f"{model.smoothing_k} differs from line {first_line}'s "
-                                     f"{first.order} and {first.smoothing_k}")
-            members[index] = (number, model)
+            try:  # a refusal of wrong type or range names the line
+                record = json.loads(line)
+                kind = record.get("kind") if isinstance(record, dict) else None
+                role = record.get("role") if kind == "ngram" else None
+                fields = _RECORD_FIELDS.get((kind, role))
+                if fields is None:
+                    raise ValueError(f"expected a vocab, public or member record, "
+                                     f"got kind {kind!r} and role {role!r}")
+                if missing := [name for name in fields if name not in record]:
+                    raise ValueError(f"{role or kind} record misses {', '.join(missing)}")
+                if kind == "vocab":
+                    tokens = record["tokens"]
+                    if vocab is not None:
+                        raise ValueError("a second vocab record")
+                    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+                        raise ValueError("vocab tokens must be a list of strings")
+                    vocab = Vocabulary(tokens)  # too few or repeated tokens are refused
+                    continue
+                if vocab is None:
+                    raise ValueError("model record precedes the vocab record")
+                model = NGramModel(record["order"], record["smoothing_k"], vocab)
+                model.counts = _checked_counts(record["counts"], model.context_width, vocab.size)
+                if role == "public":
+                    if public is not None:
+                        raise ValueError("a second public record")
+                    public = model
+                    continue
+                index = check_nonnegative_int(record["index"], "member index")
+                if index in members:
+                    raise ValueError(f"member index {index} repeats line {members[index][0]}")
+                if members:
+                    first_line, first = next(iter(members.values()))
+                    if (model.order, model.smoothing_k) != (first.order, first.smoothing_k):
+                        raise ValueError(f"member of order {model.order} and smoothing_k "
+                                         f"{model.smoothing_k} differs from line {first_line}'s "
+                                         f"{first.order} and {first.smoothing_k}")
+                members[index] = (number, model)
+            except (TypeError, ValueError, OverflowError) as err:
+                raise ValueError(f"snapshot line {number}: {err}") from None
     if vocab is None or public is None:
         raise ValueError("snapshot is missing the vocab or public model record")
     # distinct nonnegative indices are exactly 0..N-1 when the largest is N-1

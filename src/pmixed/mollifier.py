@@ -263,9 +263,9 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
     :class:`Distribution` but used as given.  ``p0`` is either one public
     distribution shared by every row, or a ``(k, V)`` stack holding row
     ``i``'s own reference, checked and used like ``P``; the second form
-    projects the (query, member) pairs of many queries in one call.  A shared
-    reference is expanded into the stack form once at entry, the only form the
-    search sees.  Row ``i``'s weight depends only on ``P[i]`` and its reference.
+    projects the (query, member) pairs of many queries in one call.  Checked,
+    they go to the unchecked search as stacks; the answer path calls it itself.
+    Row ``i``'s weight depends only on ``P[i]`` and its reference.
     """
     a = _check_finite_order(alpha)
     b = _check_radius(beta)
@@ -281,9 +281,14 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
         raise ValueError(f"expected a (k, V) stack of rows and one reference or a stack of "
                          f"references like it, got {rows.shape} and {refs.shape}")
     check_probabilities(rows, "rows")
+    return _search_lambdas(rows, refs, a, b, tol)
+
+
+def _search_lambdas(rows, refs, alpha: float, beta: float, tol=DEFAULT_LAMBDA_TOL) -> np.ndarray:
+    """:func:`solve_lambdas` past its checks, on float64 ``(k, V)`` stacks."""
     # mixtures are (row, point, V) stacks, so every reference gets a point axis
     refs = refs[:, np.newaxis, :]
-    search = ~_in_ball(rows[:, np.newaxis, :], refs, a, b)[:, 0]
+    search = ~_in_ball(rows[:, np.newaxis, :], refs, alpha, beta)[:, 0]
     weights = np.ones(rows.shape[0])
     if search.any():
         rows, refs = rows[search, np.newaxis, :], refs[search]
@@ -294,14 +299,14 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
         # past 52 halvings a midpoint may round, so a walk's exact dyadics
         # would no longer be the bisection's midpoints
         if 0 < steps <= 52 and n * steps * rows.shape[-1] <= CERTIFY_ELEMENTS:
-            k = _grid_index(_predict_weights(rows[:, 0], refs[:, 0], a, b), steps)
+            k = _grid_index(_predict_weights(rows[:, 0], refs[:, 0], alpha, beta), steps)
             # the walk that ends at k / 2**steps visits at halving j the exact
             # dyadic ((k >> (steps - j)) | 1) / 2**j, which is the sequential
             # bisection's 0.5 * (lo + hi), and keeps the upper half there iff
             # bit steps - j of k is set
             prefix = k[:, np.newaxis] >> np.arange(steps - 1, -1, -1)
             ok = _in_ball(_mix_arrays(rows, refs, ((prefix | 1) * 0.5 ** np.arange(1, steps + 1))
-                                      [..., np.newaxis]), refs, a, b)
+                                      [..., np.newaxis]), refs, alpha, beta)
             # a row whose verdicts all keep to its walk is done at k / 2**steps
             lo = k * 0.5**steps
             at = np.flatnonzero(np.any(ok != (prefix & 1).astype(bool), axis=1))
@@ -313,7 +318,7 @@ def solve_lambdas(P, p0, alpha, beta, tol: float = DEFAULT_LAMBDA_TOL) -> np.nda
             for _ in range(steps):
                 mid = 0.5 * (low + high)
                 ok = _in_ball(_mix_arrays(rows, refs, mid[:, np.newaxis, np.newaxis]),
-                              refs, a, b)[:, 0]
+                              refs, alpha, beta)[:, 0]
                 low, high = np.where(ok, mid, low), np.where(ok, high, mid)
             lo[at] = low
         weights[search] = lo

@@ -32,7 +32,7 @@ from .accounting import (
     check_nonnegative_int,
 )
 from .divergence import Distribution
-from .mollifier import _mix_arrays, solve_lambdas
+from .mollifier import _mix_arrays, _search_lambdas
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,10 @@ class PredictionSession:
         draw, draw row ``j`` of ``rng.random((b, N + 1))`` for query ``j``
         (``N`` subsample uniforms, then its token uniform), project every
         selected (query, member) pair against its query's public distribution
-        in one :func:`solve_lambdas` call, which sees each distinct pair of
-        row objects once, release each query's mean
-        projection (its public distribution if none was selected) and charge
-        each query once.  A model failure releases and charges nothing.
+        in one search, which sees each distinct pair of row objects once and
+        re-checks none of these checked distributions, release each query's
+        mean projection (its public distribution if none was selected) and
+        charge each query once.  A model failure releases and charges nothing.
         Returns the released stack, the public distributions, the draws, and
         the selected members and their weights in (query, member) order.
         """
@@ -124,7 +124,7 @@ class PredictionSession:
             # row j against its own query's public row, for one query too
             rows = np.array([row.probs for _, row in firsts])
             refs = released[[i for i, _ in firsts]]
-            lams = solve_lambdas(rows, refs, self.params.alpha, self.beta_star)
+            lams = _search_lambdas(rows, refs, float(self.params.alpha), self.beta_star)
             projected = _mix_arrays(rows, refs, lams[:, np.newaxis])[picks]
             lams = lams[picks]
             # np.nonzero lists the pairs query by query, so each query's

@@ -144,7 +144,7 @@ def test_respond_matches_the_per_query_oracle(instance):
 @given(evaluations())
 def test_each_distinct_row_pair_is_projected_once(instance):
     """A block and each ``respond`` pass one row per distinct (public row,
-    member row) object pair to ``solve_lambdas``, with a ``(k, V)`` stack of
+    member row) object pair to the projection search, with a ``(k, V)`` stack of
     references whose row ``j`` is the public row of pair ``j``'s query, for
     one query as for many; return one weight per selected (query, member)
     pair; and release what the oracle releases."""
@@ -175,8 +175,8 @@ def test_each_distinct_row_pair_is_projected_once(instance):
 
     reference = session()
     oracle = [per_query_respond.respond(reference, query)[1] for query in queries]
-    calls, solve = [], protocol.solve_lambdas
-    with mock.patch.object(protocol, "solve_lambdas",
+    calls, solve = [], protocol._search_lambdas
+    with mock.patch.object(protocol, "_search_lambdas",
                            lambda rows, refs, *args: calls.append((rows, refs))
                            or solve(rows, refs, *args)):
         released, _, draws, subset, lams = session()._answer(queries)

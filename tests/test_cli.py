@@ -184,15 +184,15 @@ class TestTrainAndPredict:
         ("index", None, "snapshot line 4: member record misses index"),
         ("index", 0, "snapshot line 4: member index 0 repeats line 3"),
         ("counts", [[[2], [[3, 1.5]]]],
-         "snapshot line 4: 'float' object cannot be interpreted as an integer"),
+         "snapshot line 4: token id 3 and count 1.5 after window (2,)"),
         ("counts", [[[2], [[3, -0.5]]]],
-         "snapshot line 4: 'float' object cannot be interpreted as an integer"),
+         "snapshot line 4: token id 3 and count -0.5 after window (2,)"),
         ("counts", [[[2, 3], [[3, 1]]]],
          "snapshot line 4: window [2, 3] holds 2 token ids, not order - 1 = 1"),
         ("counts", [[[2], [[3, True]]]],
-         "snapshot line 4: a model record holds no booleans"),
+         "snapshot line 4: token id 3 and count True after window (2,)"),
         ("counts", [[[False], [[3, 1]]]],
-         "snapshot line 4: a model record holds no booleans"),
+         "snapshot line 4: window [False] holds False, not an integer token id"),
     ])
     def test_predict_malformed_snapshot_is_a_usage_error(self, snapshot, capsys, tmp_path,
                                                          field, value, problem):
@@ -225,10 +225,10 @@ class TestTrainAndPredict:
         (2, "counts", [[[2], [[3, 10**308], [4, 10**308]]]],
          "counts after (2,) total inf, which is not finite"),
         (3, "counts", [[[2], [[3, math.inf]]]],
-         "snapshot line 3: 'float' object cannot be interpreted as an integer"),
-        (2, "counts", [[[2], [[3, 10**309]]]], "counts must be a nonnegative integer, got 1000"),
+         "snapshot line 3: token id 3 and count inf after window (2,)"),
+        (2, "counts", [[[2], [[3, 10**309]]]], "snapshot line 2: token id 3 and count 1000"),
         (2, "counts", [[[2], [[3, -4]]]],
-         "counts must be a nonnegative integer, got -4 in the row after (2,)"),
+         "snapshot line 2: token id 3 and count -4 after window (2,)"),
     ])
     def test_predict_refuses_non_finite_model_values(self, snapshot, capsys, tmp_path,
                                                      line, field, value, problem):
@@ -318,6 +318,18 @@ class TestCompareAndSweep:
         assert main(["compare", "--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert f"error: {problem}\n" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("field", ["private_corpus_path", "public_corpus_path",
+                                       "test_corpus_path", "vocab_path", "output_path"])
+    @pytest.mark.parametrize("value", [1, True])
+    def test_compare_path_that_is_not_a_string_exits_2(self, tiny_corpus, tmp_path, capsys,
+                                                       field, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**tiny_corpus["config"], field: value}), encoding="utf-8")
+        assert main(["compare", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert f"path must be a string, got {value!r}\n" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("bad", [{"T": float("inf")}, {"runs": 1.5},

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,23 @@ class TestConfig:
         data = dict(tiny_corpus["config"], **{field: value})
         with pytest.raises(ConfigError, match=f"{field} must .*, got {value!r}"):
             ExperimentConfig.from_dict(data).validate()
+
+    @pytest.mark.parametrize("value, shown", [(1, "1"), (True, "True"), (["a.txt"], "['a.txt']")])
+    @pytest.mark.parametrize("field, label", [
+        ("private_corpus_path", "private corpus"), ("public_corpus_path", "public corpus"),
+        ("test_corpus_path", "test corpus"), ("vocab_path", "vocab"), ("output_path", "output")])
+    def test_a_path_is_a_string(self, tiny_corpus, field, label, value, shown):
+        """``os.path.exists(1)`` tests file descriptor 1, so a path that is not a
+        ``str`` or ``os.PathLike`` is refused before it is looked up."""
+        data = dict(tiny_corpus["config"], **{field: value})
+        with pytest.raises(ConfigError, match=re.escape(f"{label} path must be a string, "
+                                                        f"got {shown}")):
+            ExperimentConfig.from_dict(data).validate()
+
+    def test_a_path_may_be_path_like(self, tiny_corpus):
+        data = {key: Path(value) if key.endswith("_path") else value
+                for key, value in tiny_corpus["config"].items()}
+        ExperimentConfig.from_dict(data).validate()
 
 
 class TestRunComparison:

@@ -10,10 +10,7 @@ import pytest
 from pmixed import (
     Distribution,
     EnsembleAverageModel,
-    EpsMode,
     NGramModel,
-    PredictionSession,
-    PrivacyParams,
     StaticTableModel,
     Vocabulary,
     build_public_model,
@@ -157,19 +154,39 @@ class TestNGram:
         assert model._cache == {}
 
     def test_refuses_a_count_that_no_float_holds(self, vocab):
-        model = NGramModel(2, 0.1, vocab, {(1,): {2: 10**309}})
-        with pytest.raises(ValueError, match="^counts must be a nonnegative integer, got 1000"):
-            model.distribution([1])
-        assert model._cache == {}
+        with pytest.raises(ValueError, match="^token id 2 and count 1000"):
+            NGramModel(2, 0.1, vocab, {(1,): {2: 10**309}})
 
     @pytest.mark.parametrize("count", [-4, 2.5, True])
     def test_a_count_refusal_names_its_window(self, vocab, count):
-        model = NGramModel(3, 0.1, vocab, {(1, 2): {3: 1}, (2, 1): {3: count}})
-        model.distribution([1, 2])  # the other row still builds
+        """Refused at construction, though no query reaches the window."""
         with pytest.raises(ValueError, match=re.escape(
-                f"counts must be a nonnegative integer, got {count!r} in the row after (2, 1)")):
-            model.distribution([2, 1])
-        assert (2, 1) not in model._cache
+                f"token id 3 and count {count!r} after window (2, 1) must be integers in "
+                f"[0, 4) and [0, float max]")):
+            NGramModel(3, 0.1, vocab, {(1, 2): {3: 1}, (2, 1): {3: count}})
+
+    @pytest.mark.parametrize("counts, problem", [
+        ({(1,): {4: 1}}, "token id 4 and count 1 after window (1,)"),
+        ({(1,): {-1: 1}}, "token id -1 and count 1 after window (1,)"),
+        ({(1,): {2.0: 1}}, "token id 2.0 and count 1 after window (1,)"),
+        ({(1, 2): {3: 1}}, "window (1, 2) holds 2 token ids, not order - 1 = 1"),
+        ({(True,): {3: 1}}, "window (True,) holds True, not an integer token id"),
+    ])
+    def test_constructor_refuses_bad_tokens_and_windows(self, vocab, counts, problem):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}"):
+            NGramModel(2, 0.1, vocab, counts)
+
+    def test_constructor_keeps_a_checked_copy(self, vocab):
+        counts = {(1,): {2: 3}}
+        model = NGramModel(2, 0.1, vocab, counts)
+        counts[(1,)][2] = -1
+        assert model.counts == {(1,): {2: 3}}
+
+    @pytest.mark.parametrize("token", [-1, 4])
+    def test_training_refuses_a_token_outside_the_vocabulary(self, vocab, token):
+        """Unchecked, -1 would credit the last token by index wraparound."""
+        with pytest.raises(ValueError, match=re.escape(f"token ids [{token}] are not in 0..3")):
+            train_ngram([[1, 2, 3], [1, token, 2]], 2, 0.1, vocab)
 
     def test_unseen_windows_share_one_row(self, vocab):
         data = [vocab.encode("a b c".split())]
@@ -290,7 +307,8 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("count", [-4, -1])
     def test_negative_count_is_refused_before_any_charge(self, vocab, tmp_path, count):
-        """-4 = -k|V| zeroes the row's total; -1 zeroes one entry."""
+        """-4 = -k|V| zeroes the row's total; -1 zeroes one entry.  The loader
+        refuses it, so no session is ever opened on it."""
         public = train_ngram([[3, 1]], 2, 1.0, vocab)
         member = train_ngram([[1, 2]], 2, 1.0, vocab)
         path = tmp_path / "snapshot.jsonl"
@@ -300,18 +318,16 @@ class TestSnapshot:
         records[2]["counts"] = [[[1], [[2, count]]]]
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
-        _, public2, members2 = load_snapshot(path)
-        params = PrivacyParams(8.0, 1e-5, 4, 3, 1.0, 1)  # q = 1: the member always answers
-        session = PredictionSession(members2, public2, params, mode=EpsMode.PAPER_FAITHFUL)
-        with pytest.raises(ValueError, match="nonnegative"):
-            session.respond([1])
-        assert session.ledger.queries_answered == 0
-        with pytest.raises(ValueError, match="nonnegative"):
-            NGramModel(2, 1.0, vocab, {(1,): {2: count}}).distribution([1])
+        problem = f"token id 2 and count {count} after window (1,)"
+        with pytest.raises(ValueError, match=re.escape(f"snapshot line 3: {problem}")):
+            load_snapshot(path)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            NGramModel(2, 1.0, vocab, {(1,): {2: count}})
 
     @pytest.mark.parametrize("token", [-1, 4])
     def test_out_of_range_token_is_refused_before_any_charge(self, vocab, tmp_path, token):
-        """-1 would credit the last token by index wraparound; 4 = |V| is past the end."""
+        """-1 would credit the last token by index wraparound; 4 = |V| is past
+        the end.  The loader refuses it, so no session is ever opened on it."""
         public = train_ngram([[3, 1]], 2, 1.0, vocab)
         member = train_ngram([[1, 2]], 2, 1.0, vocab)
         path = tmp_path / "snapshot.jsonl"
@@ -320,16 +336,11 @@ class TestSnapshot:
         records[2]["counts"] = [[[1], [[token, 5]]]]
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
-        _, public2, members2 = load_snapshot(path)
-        params = PrivacyParams(8.0, 1e-5, 4, 3, 1.0, 1)  # q = 1: the member always answers
-        session = PredictionSession(members2, public2, params, mode=EpsMode.PAPER_FAITHFUL)
-        with pytest.raises(ValueError, match="outside the vocabulary"):
-            session.respond([1])
-        with pytest.raises(ValueError, match="outside the vocabulary"):
-            session.answer_block([[1], [1]])
-        assert session.ledger.queries_answered == 0
-        with pytest.raises(ValueError, match="outside the vocabulary"):
-            NGramModel(2, 0.1, vocab, {(1,): {token: 5}}).distribution([1])
+        problem = f"token id {token} and count 5 after window (1,)"
+        with pytest.raises(ValueError, match=re.escape(f"snapshot line 3: {problem}")):
+            load_snapshot(path)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            NGramModel(2, 0.1, vocab, {(1,): {token: 5}})
 
     def test_rejects_model_before_vocab(self, tmp_path):
         path = tmp_path / "broken.jsonl"
@@ -435,25 +446,40 @@ class TestSnapshotRefusals:
         with pytest.raises(ValueError, match=f"^snapshot line {line}: {problem}"):
             load_snapshot(_write(path, records))
 
+    @pytest.mark.parametrize("entry, problem", [
+        ([3, -1], "token id 3 and count -1 after window (3,)"),
+        ([3, 10**309], "token id 3 and count 1000"),
+        ([4, 1], "token id 4 and count 1 after window (3,)"),
+        ([-1, 1], "token id -1 and count 1 after window (3,)"),
+    ])
+    def test_a_bad_count_no_query_reaches_is_refused_at_load(self, vocab, tmp_path, entry,
+                                                              problem):
+        """Every count is checked as it is read, not on the first query that
+        builds its row, so a snapshot is refused whole before any answer."""
+        path, records = _snapshot_records(vocab, tmp_path)
+        records[3]["counts"].append([[3], [[1, 2], entry]])
+        with pytest.raises(ValueError, match=f"^snapshot line 4: {re.escape(problem)}"):
+            load_snapshot(_write(path, records))
+
     @pytest.mark.parametrize("field, value, problem", [
         ("counts", 5, "'int' object is not iterable"),
         ("order", 0, "order must be a positive integer, got 0"),
         ("smoothing_k", -0.1, "smoothing_k must be positive, got -0.1"),
         ("smoothing_k", math.inf, "smoothing_k must be finite, got inf"),
-        ("counts", [[[1], [[2, math.inf]]]], "'float' object cannot be interpreted as an integer"),
+        ("counts", [[[1], [[2, math.inf]]]], "token id 2 and count inf after window (1,)"),
         # token ids, window ids and counts are JSON integers, and a window holds order - 1 ids
-        ("counts", [[[1], [[2, 1.5]]]], "'float' object cannot be interpreted as an integer"),
-        # operator.index reads true and false as 1 and 0, so no model record holds them
-        ("counts", [[[1], [[2, True]]]], "a model record holds no booleans"),
-        ("counts", [[[1], [[False, 1]]]], "a model record holds no booleans"),
-        ("counts", [[[False], [[2, 1]]]], "a model record holds no booleans"),
-        ("order", True, "a model record holds no booleans"),
-        ("smoothing_k", True, "a model record holds no booleans"),
-        ("index", False, "a model record holds no booleans"),
-        ("counts", [[[1], [[2, -0.5]]]], "'float' object cannot be interpreted as an integer"),
-        ("counts", [[[1], [["2", 1]]]], "'str' object cannot be interpreted as an integer"),
-        ("counts", [[[1], [[2.7, 1]]]], "'float' object cannot be interpreted as an integer"),
-        ("counts", [[[1.0], [[2, 1]]]], "'float' object cannot be interpreted as an integer"),
+        ("counts", [[[1], [[2, 1.5]]]], "token id 2 and count 1.5 after window (1,)"),
+        # a bool is not an exact int, so true and false are not read as 1 and 0
+        ("counts", [[[1], [[2, True]]]], "token id 2 and count True after window (1,)"),
+        ("counts", [[[1], [[False, 1]]]], "token id False and count 1 after window (1,)"),
+        ("counts", [[[False], [[2, 1]]]], "window [False] holds False, not an integer token id"),
+        ("order", True, "order must be a positive integer, got True"),
+        ("smoothing_k", True, "smoothing_k must be positive, got True"),
+        ("index", False, "member index must be a nonnegative integer, got False"),
+        ("counts", [[[1], [[2, -0.5]]]], "token id 2 and count -0.5 after window (1,)"),
+        ("counts", [[[1], [["2", 1]]]], "token id '2' and count 1 after window (1,)"),
+        ("counts", [[[1], [[2.7, 1]]]], "token id 2.7 and count 1 after window (1,)"),
+        ("counts", [[[1.0], [[2, 1]]]], "window [1.0] holds 1.0, not an integer token id"),
         ("counts", [[[1, 2], [[2, 1]]]], "window [1, 2] holds 2 token ids, not order - 1 = 1"),
         ("counts", [[[], [[2, 1]]]], "window [] holds 0 token ids, not order - 1 = 1"),
     ])

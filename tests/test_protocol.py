@@ -14,8 +14,11 @@ from pmixed import (
     StaticTableModel,
     Vocabulary,
     solve_lambda,
+    solve_lambdas,
     symmetric_renyi,
+    train_ngram,
 )
+from pmixed import divergence, mollifier
 
 
 @pytest.fixture
@@ -187,6 +190,33 @@ class TestSession:
         with pytest.raises(RuntimeError, match="inference backend"):
             session.respond([1])
         assert session.ledger.queries_answered == 0
+
+    def test_serving_makes_no_probability_re_check(self, vocab, monkeypatch):
+        """The answer path projects rows of checked distributions, so neither
+        ``respond`` nor ``answer_block`` checks a probability vector again;
+        the public ``solve_lambdas`` still checks its input."""
+        calls = []
+        check = divergence.check_probabilities
+
+        def counted(rows, what):
+            calls.append(what)
+            return check(rows, what)
+
+        for module in (divergence, mollifier):
+            monkeypatch.setattr(module, "check_probabilities", counted)
+        data = [[1, 2, 3, 1, 2], [3, 3, 1, 2], [2, 1, 1, 3], [1, 3, 2, 2]]
+        members = [train_ngram([seq], 2, 0.1, vocab) for seq in data]
+        public = train_ngram([[3, 2, 1, 3]], 2, 0.1, vocab)
+        params = PrivacyParams(2.0, 1e-5, 64, 3, 1.0, len(members))  # q = 1: all answer
+        session = PredictionSession(members, public, params, mode=EpsMode.PAPER_FAITHFUL)
+        weights = []
+        for query in ([1], [2], [3, 1], [0]):
+            weights.extend(session.respond(query)[1].mixing_weights.values())
+        session.answer_block([[1], [2, 3], [3], [1, 1], []])
+        assert calls == []
+        assert min(weights) < 1.0  # the search ran
+        solve_lambdas(np.array([[0.7, 0.1, 0.1, 0.1]]), Distribution([0.25] * 4), 3, 0.01)
+        assert calls == ["probabilities", "rows"]
 
     def test_leave_one_out_divergence_within_theorem_bound(self, vocab):
         """Aggregate with and without any single member stays within the

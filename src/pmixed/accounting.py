@@ -199,9 +199,9 @@ def per_query_eps(beta: float, alpha: int, subset_size: int) -> float:
 def base_eps_for_order(beta: float, k: int, N: int, mode: EpsMode) -> float:
     """Per-query loss at order ``k`` fed into the subsampling amplification.
 
-    PAPER_FAITHFUL evaluates at subset size ``N``; CONSERVATIVE maximizes
-    over every size 1..N the subsample could realize.  Sizes 1 and 2 are
-    enough: with ``y = 4 k (k-1) beta``, a size ``s >= 2`` costs
+    PAPER_FAITHFUL evaluates at subset size ``N``; CONSERVATIVE takes the
+    largest loss over every size 1..N the subsample could realize, which is
+    size ``min(N, 2)``: with ``y = 4 k (k-1) beta``, a size ``s >= 2`` costs
     ``log1p(expm1(y) / s) / (k-1)``, which does not increase with ``s``,
     and size 2 dominates size 1, since ``log((1 + e**y) / 2) >= y / 2``
     (AM-GM) gives at least ``2 k beta`` against size 1's ``k beta``.
@@ -211,7 +211,7 @@ def base_eps_for_order(beta: float, k: int, N: int, mode: EpsMode) -> float:
     if mode is EpsMode.PAPER_FAITHFUL:
         return per_query_eps(beta, k, n)
     if mode is EpsMode.CONSERVATIVE:
-        return max(per_query_eps(beta, k, s) for s in range(1, min(n, 2) + 1))
+        return per_query_eps(beta, k, min(n, 2))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -10,7 +10,8 @@ File formats:
   corpus    - plain text, one document per line, whitespace-tokenized
   vocab     - one token per line, line number = token id, line 0 reserved
               for the unknown token
-  snapshot  - JSON lines: one vocab record followed by one record per model
+  snapshot  - JSON lines: the vocab record, the public model's record, then
+              one record per member in index order
 
 Counts are checked once, as ``NGramModel``, ``load_snapshot`` or ``train_ngram``
 takes them in.  An n-gram model builds and caches a row only for a window it
@@ -24,13 +25,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import sys
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .accounting import check_nonnegative_int, check_positive, check_positive_int
+from .accounting import check_positive, check_positive_int
 from .divergence import Distribution
 
 UNKNOWN_TOKEN = "<unk>"
@@ -80,9 +82,10 @@ def _normalized(weights: np.ndarray) -> "Distribution | None":
 
 @functools.cache
 def _smoothed_uniform(smoothing_k: float, size: int) -> "Distribution | None":
-    """The row of a window with no counts, built once per ``(smoothing_k,
-    size)`` and shared by every model that asks for it."""
-    return _normalized(np.full(size, smoothing_k, dtype=np.float64))
+    """The row of every window with no counts, shared by all models with the
+    same ``(smoothing_k, size)``, or None when its weights total inf."""
+    with np.errstate(over="ignore"):  # such a k is refused, not warned of
+        return _normalized(np.full(size, smoothing_k, dtype=np.float64))
 
 
 class Vocabulary:
@@ -145,6 +148,14 @@ class Vocabulary:
         return f"Vocabulary(size={self.size})"
 
 
+def check_vocabularies(members: Sequence, vocab: Vocabulary, owner: str) -> Vocabulary:
+    """Refuse a member whose vocabulary is not ``owner``'s ``vocab``; return ``vocab``."""
+    for i, model in enumerate(members):
+        if model.vocab != vocab:
+            raise ValueError(f"ensemble member {i} has {model.vocab!r}, not {owner}'s {vocab!r}")
+    return vocab
+
+
 class LanguageModel(ABC):
     """Deterministic next-token predictor over a shared vocabulary."""
 
@@ -164,15 +175,15 @@ class NGramModel(LanguageModel):
     The probability of token ``w`` after context window ``c`` is
     ``(count(c, w) + k) / (count(c, .) + k * |V|)``, which is strictly
     positive for every token, so divergences from this model are always
-    finite.  ``k`` must be finite.  ``counts`` maps windows of ``order - 1``
-    token ids to token ids and counts, checked and copied as
-    :func:`load_snapshot` checks them.  A row whose weights total a non-finite
-    number is refused when first built, before it is cached or returned.
+    finite.  ``counts`` maps windows of ``order - 1`` token ids to token ids
+    and counts, checked and copied as :func:`load_snapshot` checks them.
     Contexts shorter than ``order - 1`` are left-padded with the unknown
-    token.  Models are immutable after training.  A window seen in training
-    gets its row built on first use and cached per model; every other window
-    gets the one shared smoothed-uniform row of ``(k, |V|)``, which is never
-    cached per model, so the cache holds at most the seen windows.
+    token.  Models are immutable after training.  Every window never seen in
+    training gets the one shared smoothed-uniform row of ``(k, |V|)``, kept
+    when the model is built, so a ``k`` that is not finite or whose ``k *
+    |V|`` is not finite is refused then.  A seen window gets its row built
+    on first use and cached per model; one whose weights total a non-finite
+    number is refused then, before it is cached or returned.
     """
 
     def __init__(self, order: int, smoothing_k: float, vocab: Vocabulary,
@@ -181,6 +192,10 @@ class NGramModel(LanguageModel):
         self.context_width = self.order - 1
         self.smoothing_k = check_smoothing(smoothing_k)
         self.vocab = vocab
+        self._unseen = _smoothed_uniform(self.smoothing_k, vocab.size)
+        if self._unseen is None:
+            raise ValueError(f"smoothing_k {self.smoothing_k!r} over {vocab.size} tokens "
+                             f"totals inf, which is not finite")
         self.counts = _checked_counts(((w, s.items()) for w, s in (counts or {}).items()),
                                       self.context_width, vocab.size)
         self._cache: dict[tuple[int, ...], Distribution] = {}
@@ -199,11 +214,11 @@ class NGramModel(LanguageModel):
         cached = self._cache.get(window)
         if cached is not None:
             return cached
-        slot, size = self.counts.get(window), self.vocab.size
-        if slot is None and (shared := _smoothed_uniform(self.smoothing_k, size)) is not None:
-            return shared
-        weights = np.full(size, self.smoothing_k, dtype=np.float64)
-        for token, count in (slot or {}).items():
+        slot = self.counts.get(window)
+        if slot is None:
+            return self._unseen
+        weights = np.full(self.vocab.size, self.smoothing_k, dtype=np.float64)
+        for token, count in slot.items():
             weights[token] += count
         dist = _normalized(weights)
         if dist is None:
@@ -220,12 +235,17 @@ def train_ngram(data: Iterable[Sequence[int]], order: int, smoothing_k: float,
     Counts come from every length-``order`` window contained in a sequence;
     sequences shorter than ``order`` contribute nothing.  Empty data is not
     an error: the model then predicts the uniform add-k distribution
-    everywhere.  A token id outside the vocabulary is refused.
+    everywhere.  A token id that is not an integer (``1.7``, ``2.0``,
+    ``"2"``) or is outside the vocabulary is refused.
     """
     model = NGramModel(order, smoothing_k, vocab)
     need, known = model.order - 1, frozenset(range(vocab.size))
     for seq in data:
-        ids = [int(t) for t in seq]
+        try:
+            ids = list(map(operator.index, seq))
+        except TypeError:
+            bad = next(t for t in seq if not hasattr(t, "__index__"))
+            raise ValueError(f"token id {bad!r} is not an integer") from None
         if not known.issuperset(ids):  # one C-level pass; min() and max() take two
             raise ValueError(f"token ids {sorted({*ids} - known)} are not in 0..{len(known) - 1}")
         for stop in range(need, len(ids)):
@@ -270,7 +290,7 @@ class EnsembleAverageModel(LanguageModel):
         if not members:
             raise ValueError("ensemble must contain at least one model")
         self.members = list(members)
-        self.vocab = self.members[0].vocab
+        self.vocab = check_vocabularies(self.members, self.members[0].vocab, "member 0")
         widths = [getattr(m, "context_width", None) for m in self.members]
         self.context_width = None if None in widths else max(widths)
         self._cache: dict[tuple[int, ...], Distribution] = {}
@@ -348,77 +368,54 @@ def save_snapshot(path, vocab: Vocabulary, public: NGramModel,
             fh.write(json.dumps(_model_record(model, "member", i), sort_keys=True) + "\n")
 
 
-# The fields each snapshot record must have, by kind and, for models, role
-_RECORD_FIELDS = {
-    ("vocab", None): ("tokens",),
-    ("ngram", "public"): ("order", "smoothing_k", "counts"),
-    ("ngram", "member"): ("index", "order", "smoothing_k", "counts"),
-}
+# The kind, role and fields of a snapshot's records: vocab, public, each member
+_RECORDS = (("vocab", None, ("tokens",)),
+            ("ngram", "public", ("order", "smoothing_k", "counts")),
+            ("ngram", "member", ("index", "order", "smoothing_k", "counts")))
 
 
 def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
-    """Read a snapshot written by :func:`save_snapshot`, failing closed.
+    """Read a snapshot in the one order :func:`save_snapshot` writes it: the
+    vocab record, the public record, then members 0..N-1, failing closed.
 
-    A ``ValueError`` naming the offending line refuses a record that is not
-    a vocab, public or member record, misses one of its fields or holds one
-    of the wrong type or range, such as vocab tokens that are not a JSON list
-    of distinct strings; a second vocab or public record, or a model
-    before the vocab; member indices other than exactly 0..N-1, in any
-    order; and members that disagree on order or ``smoothing_k``.  Every
-    window, token id and count is checked as it is read, as
-    :class:`NGramModel` checks them, so ``1.5``, ``"2"``, ``true``,
-    ``Infinity``, ``-1`` and ``10**309`` are refused, naming the window,
-    before this returns.  A non-finite ``smoothing_k`` is refused too.
+    A ``ValueError`` naming the line refuses a record other than the one its
+    position requires, a missing field, a field of the wrong type or range
+    (vocab tokens that are not distinct strings, or a ``smoothing_k``,
+    window, token id or count that :class:`NGramModel` refuses, even in a
+    window no query reaches) and a member unlike member 0 in order or ``k``.
     """
-    vocab = public = None
-    members: dict[int, tuple[int, NGramModel]] = {}  # index -> (line, model)
+    vocab, models = None, []  # the public model, then the members
     with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+        records = ((number, line) for number, line in enumerate(fh, 1) if line.strip())
+        for position, (number, line) in enumerate(records):
+            kind, role, fields = _RECORDS[min(position, 2)]
+            want = f"member {position - 2}" if role == "member" else f"the {role or kind} record"
             try:  # a refusal of wrong type or range names the line
                 record = json.loads(line)
-                kind = record.get("kind") if isinstance(record, dict) else None
-                role = record.get("role") if kind == "ngram" else None
-                fields = _RECORD_FIELDS.get((kind, role))
-                if fields is None:
-                    raise ValueError(f"expected a vocab, public or member record, "
-                                     f"got kind {kind!r} and role {role!r}")
+                dct = record if isinstance(record, dict) else {}
+                if (got := (dct.get("kind"), dct.get("role"))) != (kind, role):
+                    raise ValueError(f"expected {want}, got kind {got[0]!r} and role {got[1]!r}")
                 if missing := [name for name in fields if name not in record]:
                     raise ValueError(f"{role or kind} record misses {', '.join(missing)}")
                 if kind == "vocab":
-                    tokens = record["tokens"]
-                    if vocab is not None:
-                        raise ValueError("a second vocab record")
-                    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+                    if not (isinstance(record["tokens"], list)
+                            and all(isinstance(t, str) for t in record["tokens"])):
                         raise ValueError("vocab tokens must be a list of strings")
-                    vocab = Vocabulary(tokens)  # too few or repeated tokens are refused
+                    vocab = Vocabulary(record["tokens"])  # too few or repeated tokens are refused
                     continue
-                if vocab is None:
-                    raise ValueError("model record precedes the vocab record")
+                if role == "member" and not (type(index := record["index"]) is int
+                                             and index == position - 2):
+                    raise ValueError(f"expected {want}, got member index {index!r}")
                 model = NGramModel(record["order"], record["smoothing_k"], vocab)
                 model.counts = _checked_counts(record["counts"], model.context_width, vocab.size)
-                if role == "public":
-                    if public is not None:
-                        raise ValueError("a second public record")
-                    public = model
-                    continue
-                index = check_nonnegative_int(record["index"], "member index")
-                if index in members:
-                    raise ValueError(f"member index {index} repeats line {members[index][0]}")
-                if members:
-                    first_line, first = next(iter(members.values()))
-                    if (model.order, model.smoothing_k) != (first.order, first.smoothing_k):
-                        raise ValueError(f"member of order {model.order} and smoothing_k "
-                                         f"{model.smoothing_k} differs from line {first_line}'s "
-                                         f"{first.order} and {first.smoothing_k}")
-                members[index] = (number, model)
+                first = models[1] if len(models) > 1 else model  # member 0, once there is one
+                if (model.order, model.smoothing_k) != (first.order, first.smoothing_k):
+                    raise ValueError(f"member of order {model.order} and smoothing_k "
+                                     f"{model.smoothing_k} differs from member 0's "
+                                     f"{first.order} and {first.smoothing_k}")
+                models.append(model)
             except (TypeError, ValueError, OverflowError) as err:
                 raise ValueError(f"snapshot line {number}: {err}") from None
-    if vocab is None or public is None:
+    if not models:
         raise ValueError("snapshot is missing the vocab or public model record")
-    # distinct nonnegative indices are exactly 0..N-1 when the largest is N-1
-    if members and (last := max(members)) != len(members) - 1:
-        raise ValueError(f"snapshot line {members[last][0]}: member index {last} is outside "
-                         f"0..{len(members) - 1} for {len(members)} members")
-    return vocab, public, [members[i][1] for i in range(len(members))]
+    return vocab, models[0], models[1:]

@@ -32,6 +32,7 @@ from .accounting import (
     check_nonnegative_int,
 )
 from .divergence import Distribution
+from .models import check_vocabularies
 from .mollifier import _mix_arrays, _search_lambdas
 
 
@@ -78,6 +79,7 @@ class PredictionSession:
             raise ValueError(
                 f"ensemble has {len(ensemble)} models but params.N = {params.N}"
             )
+        check_vocabularies(ensemble, public_model.vocab, "the public model")
         self.rng_seed = check_nonnegative_int(seed, "seed")
         self.ensemble = list(ensemble)
         self.public_model = public_model

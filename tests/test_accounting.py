@@ -107,6 +107,17 @@ class TestBaseEpsForOrder:
                     every_size = max(per_query_eps(beta, k, s) for s in range(1, n + 1))
                     assert base_eps_for_order(beta, k, n, EpsMode.CONSERVATIVE) == every_size
 
+    def test_conservative_equals_the_maximum_of_sizes_1_and_2_in_floats(self):
+        """The single size-min(N, 2) evaluation is the max over sizes 1 and 2
+        it replaced, bit for bit, at every order to 39 and radii across the
+        float range."""
+        betas = [0.0, 5e-324] + [10.0 ** (e / 10) for e in range(-3000, 3001)]
+        for k in range(2, 40):
+            for beta in betas:
+                pair = per_query_eps(beta, k, 2)
+                assert pair == max(per_query_eps(beta, k, 1), pair)
+                assert base_eps_for_order(beta, k, 2, EpsMode.CONSERVATIVE) == pair
+
     def test_conservative_dominates_paper_faithful(self):
         for beta in (0.001, 0.01, 0.1):
             conservative = base_eps_for_order(beta, 3, 80, EpsMode.CONSERVATIVE)

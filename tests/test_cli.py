@@ -182,7 +182,7 @@ class TestTrainAndPredict:
 
     @pytest.mark.parametrize("field, value, problem", [
         ("index", None, "snapshot line 4: member record misses index"),
-        ("index", 0, "snapshot line 4: member index 0 repeats line 3"),
+        ("index", 0, "snapshot line 4: expected member 1, got member index 0"),
         ("counts", [[[2], [[3, 1.5]]]],
          "snapshot line 4: token id 3 and count 1.5 after window (2,)"),
         ("counts", [[[2], [[3, -0.5]]]],
@@ -219,6 +219,28 @@ class TestTrainAndPredict:
         assert "error: smoothing_k must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_train_refuses_a_smoothing_k_that_no_unseen_row_can_total(self, tiny_corpus,
+                                                                        tmp_path, capsys):
+        out = tmp_path / "ensemble.jsonl"
+        code = main(["train", "--private-corpus", str(tiny_corpus["root"] / "private.txt"),
+                     "--public-corpus", str(tiny_corpus["root"] / "public.txt"),
+                     "--n-models", "4", "--smoothing-k", "1e308", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: smoothing_k 1e+308 over " in err and "totals inf" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
+    def test_train_twice_writes_the_same_bytes(self, tiny_corpus, tmp_path, capsys):
+        """One set of flags gives one snapshot file, byte for byte."""
+        paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        for path in paths:
+            assert main(["train", "--private-corpus", str(tiny_corpus["root"] / "private.txt"),
+                         "--public-corpus", str(tiny_corpus["root"] / "public.txt"),
+                         "--n-models", "4", "--order", "3", "--seed", "5",
+                         "--output", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("line, field, value, problem", [
         (2, "smoothing_k", math.inf, "snapshot line 2: smoothing_k must be finite, got inf"),
@@ -229,6 +251,7 @@ class TestTrainAndPredict:
         (2, "counts", [[[2], [[3, 10**309]]]], "snapshot line 2: token id 3 and count 1000"),
         (2, "counts", [[[2], [[3, -4]]]],
          "snapshot line 2: token id 3 and count -4 after window (2,)"),
+        (3, "smoothing_k", 1e308, "snapshot line 3: smoothing_k 1e+308 over "),
     ])
     def test_predict_refuses_non_finite_model_values(self, snapshot, capsys, tmp_path,
                                                      line, field, value, problem):

@@ -1,5 +1,6 @@
 """Vocabulary, n-gram backend, partitioner, and snapshot round trips."""
 
+import itertools
 import json
 import math
 import re
@@ -216,14 +217,22 @@ class TestNGram:
         seen = model.distribution([1, 2])
         assert model._cache == {(1, 2): seen}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_an_unseen_row_whose_total_is_not_finite_names_its_window(self, vocab):
-        model = NGramModel(2, 1e308, vocab)
-        for window in [(1,), (2,)]:
-            with pytest.raises(ValueError, match=re.escape(
-                    f"counts after {window!r} total inf, which is not finite")):
-                model.distribution(list(window))
-        assert model._cache == {}
+    def test_a_k_whose_unseen_row_total_is_not_finite_is_refused_at_construction(self, vocab):
+        """k * |V| past float max leaves no row for an unseen window, so the
+        model is refused whole rather than failing each unseen window."""
+        problem = "smoothing_k 1e+308 over 4 tokens totals inf, which is not finite"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            NGramModel(2, 1e308, vocab)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            train_ngram([[1, 2]], 3, 1e308, vocab)
+        assert NGramModel(2, 8e307, Vocabulary(["<unk>", "a"])).distribution([1]).probs.tolist() \
+            == [0.5, 0.5]
+
+    @pytest.mark.parametrize("token", [1.7, 2.0, "2", np.float64(2.0)])
+    def test_training_refuses_a_token_id_that_is_not_an_integer(self, vocab, token):
+        """Read with int(), 1.7 would count as token 1."""
+        with pytest.raises(ValueError, match=re.escape(f"token id {token!r} is not an integer")):
+            train_ngram([[1, 2], [1, token, 3]], 2, 0.1, vocab)
 
     def test_public_model_builder_matches_training(self, vocab):
         data = [vocab.encode("a b c".split())]
@@ -278,6 +287,16 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError):
             EnsembleAverageModel([])
 
+    def test_rejects_a_member_of_another_vocabulary(self, vocab):
+        wider = Vocabulary([*vocab.tokens, "d"])
+        members = [train_ngram([[1, 2]], 2, 0.1, vocab), train_ngram([[1, 2]], 2, 0.1, wider)]
+        with pytest.raises(ValueError, match=re.escape(
+                "ensemble member 1 has Vocabulary(size=5), not member 0's Vocabulary(size=4)")):
+            EnsembleAverageModel(members)
+        renamed = Vocabulary(["<unk>", "a", "b", "z"])
+        with pytest.raises(ValueError, match="ensemble member 2 has"):
+            EnsembleAverageModel(members[:1] * 2 + [train_ngram([], 2, 0.1, renamed)])
+
 
 class TestCorpusIO:
     def test_one_document_per_line(self, tmp_path):
@@ -304,6 +323,17 @@ class TestSnapshot:
             for ctx in contexts:
                 assert np.array_equal(before.distribution(ctx).probs,
                                       after.distribution(ctx).probs)
+
+    def test_saving_a_loaded_snapshot_writes_its_bytes(self, vocab, tmp_path):
+        """The loader reads only the layout save_snapshot writes, so one
+        ensemble has one byte form."""
+        rng = np.random.default_rng(7)
+        data = [list(rng.integers(0, 4, size=40)) for _ in range(5)]
+        path, again = tmp_path / "snapshot.jsonl", tmp_path / "again.jsonl"
+        save_snapshot(path, vocab, train_ngram(data[:2], 3, 0.5, vocab),
+                      [train_ngram([doc], 3, 0.5, vocab) for doc in data[2:]])
+        save_snapshot(again, *load_snapshot(path))
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("count", [-4, -1])
     def test_negative_count_is_refused_before_any_charge(self, vocab, tmp_path, count):
@@ -369,10 +399,10 @@ class TestSnapshotRefusals:
     naming the line of the record at fault."""
 
     @pytest.mark.parametrize("indices, line, problem", [
-        ((0, 0, 2), 4, "member index 0 repeats line 3"),
-        ((0, 5, 1), 4, "member index 5 is outside 0..2 for 3 members"),
-        ((1, 2, 3), 5, "member index 3 is outside 0..2"),
-        ((0, -1, 1), 4, "member index must be a nonnegative integer, got -1"),
+        ((0, 0, 2), 4, "expected member 1, got member index 0"),
+        ((0, 5, 1), 4, "expected member 1, got member index 5"),
+        ((1, 2, 3), 3, "expected member 0, got member index 1"),
+        ((0, -1, 1), 4, "expected member 1, got member index -1"),
     ])
     def test_member_indices_must_be_exactly_0_to_n_minus_1(self, vocab, tmp_path,
                                                            indices, line, problem):
@@ -382,31 +412,42 @@ class TestSnapshotRefusals:
         with pytest.raises(ValueError, match=f"^snapshot line {line}: {problem}"):
             load_snapshot(_write(path, records))
 
-    def test_members_in_any_order_load_by_index(self, vocab, tmp_path):
+    def test_every_other_record_order_is_refused(self, vocab, tmp_path):
+        """Only the order save_snapshot writes loads: every other permutation
+        of the five records, and every record written twice, is refused."""
         path, records = _snapshot_records(vocab, tmp_path)
-        records[2]["counts"] = [[[1], [[3, 7]]]]
-        _, _, members = load_snapshot(_write(path, records[:2] + records[:1:-1]))
-        assert [m.counts for m in members] == [{(1,): {3: 7}}, {(1,): {2: 1}, (2,): {3: 1}},
-                                               {(1,): {2: 1}, (2,): {3: 1}}]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        load_snapshot(path)
+        orders = [list(p) for p in itertools.permutations(lines) if list(p) != lines]
+        orders += [lines[:i + 1] + lines[i:] for i in range(len(lines))]
+        orders += [lines + lines[i:i + 1] for i in range(len(lines))]
+        assert len(orders) == 119 + 5 + 5
+        for order in orders:
+            path.write_text("".join(order), encoding="utf-8")
+            with pytest.raises(ValueError, match=r"^snapshot line \d: expected "):
+                load_snapshot(path)
 
     def test_exactly_one_public_record(self, vocab, tmp_path):
         path, records = _snapshot_records(vocab, tmp_path)
-        with pytest.raises(ValueError, match="^snapshot line 6: a second public record"):
+        with pytest.raises(ValueError, match="^snapshot line 6: expected member 3, got kind "
+                                             "'ngram' and role 'public'"):
             load_snapshot(_write(path, records + records[1:2]))
-        with pytest.raises(ValueError, match="missing the vocab or public model record"):
+        with pytest.raises(ValueError, match="^snapshot line 2: expected the public record, "
+                                             "got kind 'ngram' and role 'member'"):
             load_snapshot(_write(path, records[:1] + records[2:]))
 
     def test_exactly_one_vocab_record(self, vocab, tmp_path):
         path, records = _snapshot_records(vocab, tmp_path)
-        with pytest.raises(ValueError, match="^snapshot line 3: a second vocab record"):
+        with pytest.raises(ValueError, match="^snapshot line 3: expected member 0, got kind "
+                                             "'vocab' and role None"):
             load_snapshot(_write(path, records[:2] + records[:1] + records[2:]))
 
     @pytest.mark.parametrize("role", ["private", None, 0])
     def test_role_is_public_or_member(self, vocab, tmp_path, role):
         path, records = _snapshot_records(vocab, tmp_path)
         records[3]["role"] = role
-        with pytest.raises(ValueError, match="^snapshot line 4: expected a vocab, public or "
-                                             f"member record, got kind 'ngram' and role {role!r}"):
+        with pytest.raises(ValueError, match="^snapshot line 4: expected member 1, got kind "
+                                             f"'ngram' and role {role!r}"):
             load_snapshot(_write(path, records))
 
     @pytest.mark.parametrize("orders, ks", [((2, 3, 2), (0.1, 0.1, 0.1)),
@@ -416,7 +457,7 @@ class TestSnapshotRefusals:
         line = 4 if orders[1] == 3 else 5
         with pytest.raises(ValueError, match=f"^snapshot line {line}: member of order "
                                              f"{orders[line - 3]} and smoothing_k "
-                                             f"{ks[line - 3]} differs from line 3's 2 and 0.1"):
+                                             f"{ks[line - 3]} differs from member 0's 2 and 0.1"):
             load_snapshot(_write(path, records))
 
     @pytest.mark.parametrize("tokens, problem", [
@@ -438,7 +479,7 @@ class TestSnapshotRefusals:
         (2, "counts", "public record misses counts"),
         (3, "index", "member record misses index"),
         (4, "smoothing_k", "member record misses smoothing_k"),
-        (5, "kind", "expected a vocab, public or member record, got kind None"),
+        (5, "kind", "expected member 2, got kind None and role 'member'"),
     ])
     def test_no_record_misses_a_field(self, vocab, tmp_path, line, field, problem):
         path, records = _snapshot_records(vocab, tmp_path)
@@ -475,13 +516,14 @@ class TestSnapshotRefusals:
         ("counts", [[[False], [[2, 1]]]], "window [False] holds False, not an integer token id"),
         ("order", True, "order must be a positive integer, got True"),
         ("smoothing_k", True, "smoothing_k must be positive, got True"),
-        ("index", False, "member index must be a nonnegative integer, got False"),
+        ("index", False, "expected member 1, got member index False"),
         ("counts", [[[1], [[2, -0.5]]]], "token id 2 and count -0.5 after window (1,)"),
         ("counts", [[[1], [["2", 1]]]], "token id '2' and count 1 after window (1,)"),
         ("counts", [[[1], [[2.7, 1]]]], "token id 2.7 and count 1 after window (1,)"),
         ("counts", [[[1.0], [[2, 1]]]], "window [1.0] holds 1.0, not an integer token id"),
         ("counts", [[[1, 2], [[2, 1]]]], "window [1, 2] holds 2 token ids, not order - 1 = 1"),
         ("counts", [[[], [[2, 1]]]], "window [] holds 0 token ids, not order - 1 = 1"),
+        ("smoothing_k", 1e308, "smoothing_k 1e+308 over 4 tokens totals inf"),
     ])
     def test_a_field_of_the_wrong_type_or_range_names_its_line(self, vocab, tmp_path,
                                                                field, value, problem):

@@ -1,6 +1,7 @@
 """Query-loop behavior: subsampling, aggregation, sampling, budget, privacy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,15 +182,31 @@ class TestSession:
 
     def test_failed_inference_does_not_charge(self, vocab):
         class ExplodingModel:
+            def __init__(self, vocab):
+                self.vocab = vocab
+
             def distribution(self, context):
                 raise RuntimeError("inference backend unavailable")
 
         params = PrivacyParams(1.0, 1e-5, 5, 3, 1.0, 1)
         public = StaticTableModel(vocab, {}, default=Distribution([0.25] * 4))
-        session = PredictionSession([ExplodingModel()], public, params, seed=0)
+        session = PredictionSession([ExplodingModel(vocab)], public, params, seed=0)
         with pytest.raises(RuntimeError, match="inference backend"):
             session.respond([1])
         assert session.ledger.queries_answered == 0
+
+    def test_refuses_a_member_of_another_vocabulary(self, vocab):
+        """Refused at construction, naming the member, not by a broadcast
+        error inside the first answer's search."""
+        wider = Vocabulary([*vocab.tokens, "d"])
+        members = [train_ngram([[1, 2]], 2, 0.1, vocab), train_ngram([[1, 2]], 2, 0.1, wider)]
+        params = PrivacyParams(1.0, 1e-5, 5, 2, 1.0, 2)
+        with pytest.raises(ValueError, match=re.escape(
+                "ensemble member 1 has Vocabulary(size=5), not the public model's "
+                "Vocabulary(size=4)")):
+            PredictionSession(members, train_ngram([[2, 1]], 2, 0.1, vocab), params)
+        with pytest.raises(ValueError, match="ensemble member 0 has Vocabulary"):
+            PredictionSession(members[::-1], train_ngram([], 2, 0.1, vocab), params)
 
     def test_serving_makes_no_probability_re_check(self, vocab, monkeypatch):
         """The answer path projects rows of checked distributions, so neither

@@ -15,20 +15,25 @@ path does, so they time that one form without the entry checks of
 
 Serve sessions generate 16 tokens from each two-token prompt drawn from the
 test corpus, feeding every sampled token back.  The recorded calls are then
-replayed and, per workload, the script prints the number of calls, the mean
-selected (query, member) pairs per call and the mean rows per call (the
-answer path projects each distinct pair of row objects once, so rows can be
-fewer than pairs), the ball-test (``_in_ball``) calls per solve, the share of
-the rows the predictor was asked about whose predicted walk certified ("-"
-where it was asked about none), the share of searched rows (those below
-weight 1) in solves past the certify gate, which the predictor never sees,
-the ball-test calls per solve that the one-halving loop made after a walk
-failed or in place of one, the share of tested mixtures that the exact
-divergence kernel decided rather than the power sums, the median over
-repeats of the microseconds per solve, a digest of the weights the replayed
-calls return, which a change that only makes the search faster must not
-move, and a digest of the per-(query, member) weights that each answer
-returned, which a change that only removes repeated work must not move.
+replayed and, per workload, the script prints the number of calls, the
+selected (query, member) pairs of all answers per call and the mean rows
+per call (a session searches each distinct pair of row objects once and
+keeps its weight, so rows can be fewer than pairs, and an answer whose
+pairs were all searched before makes no call), the ball-test (``_in_ball``)
+calls per solve, the share of the rows the predictor was asked about whose
+predicted walk certified ("-" where it was asked about none), the share of
+searched rows (those below weight 1) in solves past the certify gate, which
+the predictor never sees, the ball-test calls per solve that the
+one-halving loop made after a walk failed or in place of one, the share of
+tested mixtures that the exact divergence kernel decided rather than the
+power sums, the median over repeats of the microseconds per solve, a
+digest of the weights the replayed calls return, which a change that only
+makes the search faster must not move, and a digest of the per-(query,
+member) weights that each answer returned, which a change that only
+removes repeated work must not move.
+The calls, and so the call-weight digest, change whenever the answer path
+changes which rows it sends to the search (as when sessions began keeping
+the weights they found); the pair-weight digest is the invariant then.
 
 Usage: python scripts/bench_projection.py [--repeats R] [--seed S]
 Run it from the repository root: the fixture config names its corpora by

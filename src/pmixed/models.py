@@ -46,6 +46,20 @@ def check_smoothing(smoothing_k) -> float:
     return float(smoothing_k)
 
 
+def token_ids(seq: Sequence[int]) -> tuple[int, ...]:
+    """The ids of ``seq`` as a tuple of ints, refusing one that is not an
+    integer (``1.7``, ``2.0``, ``"2"``) rather than truncating it."""
+    try:
+        return tuple(map(operator.index, seq))
+    except TypeError:
+        for t in seq:  # name the first id refused (a 0-d float array has __index__)
+            try:
+                operator.index(t)
+            except TypeError:
+                raise ValueError(f"token id {t!r} is not an integer") from None
+        raise
+
+
 def _checked_counts(entries, width: int, size: int) -> dict[tuple[int, ...], dict[int, int]]:
     """``(window, [(token, count), ...])`` entries as a dict, checked as it is
     built: ``width`` ids a window, token ids in ``[0, size)`` and counts in
@@ -204,7 +218,7 @@ class NGramModel(LanguageModel):
         need = self.order - 1
         if need == 0:
             return ()
-        window = tuple(int(t) for t in context[-need:])
+        window = token_ids(context[-need:])
         if len(window) < need:
             window = (self.vocab.unknown_id,) * (need - len(window)) + window
         return window
@@ -241,11 +255,7 @@ def train_ngram(data: Iterable[Sequence[int]], order: int, smoothing_k: float,
     model = NGramModel(order, smoothing_k, vocab)
     need, known = model.order - 1, frozenset(range(vocab.size))
     for seq in data:
-        try:
-            ids = list(map(operator.index, seq))
-        except TypeError:
-            bad = next(t for t in seq if not hasattr(t, "__index__"))
-            raise ValueError(f"token id {bad!r} is not an integer") from None
+        ids = token_ids(seq)
         if not known.issuperset(ids):  # one C-level pass; min() and max() take two
             raise ValueError(f"token ids {sorted({*ids} - known)} are not in 0..{len(known) - 1}")
         for stop in range(need, len(ids)):
@@ -275,7 +285,7 @@ class StaticTableModel(LanguageModel):
         self.default = default
 
     def distribution(self, context: Sequence[int]) -> Distribution:
-        return self.rows.get(tuple(int(t) for t in context), self.default)
+        return self.rows.get(token_ids(context), self.default)
 
 
 class EnsembleAverageModel(LanguageModel):
@@ -299,7 +309,7 @@ class EnsembleAverageModel(LanguageModel):
         width = self.context_width
         if width is None:
             return self._average(context)
-        key = tuple(int(t) for t in context[max(len(context) - width, 0):])
+        key = token_ids(context[max(len(context) - width, 0):])
         cached = self._cache.get(key)
         if cached is None:
             cached = self._cache[key] = self._average(context)
@@ -369,34 +379,40 @@ def save_snapshot(path, vocab: Vocabulary, public: NGramModel,
 
 
 # The kind, role and fields of a snapshot's records: vocab, public, each member
-_RECORDS = (("vocab", None, ("tokens",)),
-            ("ngram", "public", ("order", "smoothing_k", "counts")),
-            ("ngram", "member", ("index", "order", "smoothing_k", "counts")))
+_RECORDS = (("vocab", None, ("kind", "tokens")),
+            ("ngram", "public", ("kind", "role", "order", "smoothing_k", "counts")),
+            ("ngram", "member", ("kind", "role", "index", "order", "smoothing_k", "counts")))
 
 
 def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
     """Read a snapshot in the one order :func:`save_snapshot` writes it: the
     vocab record, the public record, then members 0..N-1, failing closed.
 
-    A ``ValueError`` naming the line refuses a record other than the one its
-    position requires, a missing field, a field of the wrong type or range
-    (vocab tokens that are not distinct strings, or a ``smoothing_k``,
-    window, token id or count that :class:`NGramModel` refuses, even in a
-    window no query reaches) and a member unlike member 0 in order or ``k``.
+    A ``ValueError`` naming the line refuses a blank line, a record other
+    than the one its position requires, a missing field or one its kind does
+    not define, a field of the wrong type or range (vocab tokens that are not
+    distinct strings, or a ``smoothing_k``, window, token id or count that
+    :class:`NGramModel` refuses, even in a window no query reaches) and a
+    member unlike member 0 in order or ``k``.  Any JSON key order and
+    spacing is still read.
     """
     vocab, models = None, []  # the public model, then the members
     with open(path, "r", encoding="utf-8") as fh:
-        records = ((number, line) for number, line in enumerate(fh, 1) if line.strip())
-        for position, (number, line) in enumerate(records):
-            kind, role, fields = _RECORDS[min(position, 2)]
-            want = f"member {position - 2}" if role == "member" else f"the {role or kind} record"
+        for number, line in enumerate(fh, 1):
+            kind, role, fields = _RECORDS[min(number - 1, 2)]
+            want = f"member {number - 3}" if role == "member" else f"the {role or kind} record"
             try:  # a refusal of wrong type or range names the line
+                if not line.strip():
+                    raise ValueError(f"expected {want}, got a blank line")
                 record = json.loads(line)
                 dct = record if isinstance(record, dict) else {}
                 if (got := (dct.get("kind"), dct.get("role"))) != (kind, role):
                     raise ValueError(f"expected {want}, got kind {got[0]!r} and role {got[1]!r}")
                 if missing := [name for name in fields if name not in record]:
                     raise ValueError(f"{role or kind} record misses {', '.join(missing)}")
+                if extra := sorted(record.keys() - set(fields)):
+                    raise ValueError(f"{role or kind} record has fields {', '.join(extra)} "
+                                     f"that it does not define")
                 if kind == "vocab":
                     if not (isinstance(record["tokens"], list)
                             and all(isinstance(t, str) for t in record["tokens"])):
@@ -404,7 +420,7 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
                     vocab = Vocabulary(record["tokens"])  # too few or repeated tokens are refused
                     continue
                 if role == "member" and not (type(index := record["index"]) is int
-                                             and index == position - 2):
+                                             and index == number - 3):
                     raise ValueError(f"expected {want}, got member index {index!r}")
                 model = NGramModel(record["order"], record["smoothing_k"], vocab)
                 model.counts = _checked_counts(record["counts"], model.context_width, vocab.size)

@@ -10,9 +10,13 @@ then one token uniform per query, so a session's full trace is reproducible
 from its seed.
 
 These steps live in one place, the private answer path, which serves a
-list of queries with one draw, one bisection over the distinct rows of the
-selected (query, member) pairs, and one charge per query.  ``respond`` runs
-it on one query and samples the token; ``answer_block`` runs it on an
+list of queries with one draw, one bisection over the selected (query,
+member) pairs whose (public row, member row) object pair the session has
+not searched before, one mix of every selected pair, and one charge per
+query.  A session keeps each searched pair's weight while it lives: a row's
+weight depends only on the row and its reference, so a weight found once is
+the weight every later search would find, bit for bit.  ``respond`` runs the
+path on one query and samples the token; ``answer_block`` runs it on an
 evaluation block and returns the released distributions.
 """
 
@@ -32,7 +36,7 @@ from .accounting import (
     check_nonnegative_int,
 )
 from .divergence import Distribution
-from .models import check_vocabularies
+from .models import check_vocabularies, token_ids
 from .mollifier import _mix_arrays, _search_lambdas
 
 
@@ -88,16 +92,22 @@ class PredictionSession:
         self.beta_star = self.accountant.beta_star
         self.ledger = AccountantLedger(params, self.accountant.per_query_eps)
         self.rng = np.random.default_rng(self.rng_seed)
+        # (id(public row), id(member row)) -> (weight, public row, member row):
+        # private operator data, filled as queries are answered, never saved
+        self._weights: dict[tuple[int, int], tuple[float, Distribution, Distribution]] = {}
 
     def _answer(self, queries: Sequence[Sequence[int]]):
         """The one answer path: refuse a request past the budget before any
         draw, draw row ``j`` of ``rng.random((b, N + 1))`` for query ``j``
-        (``N`` subsample uniforms, then its token uniform), project every
-        selected (query, member) pair against its query's public distribution
-        in one search, which sees each distinct pair of row objects once and
-        re-checks none of these checked distributions, release each query's
-        mean projection (its public distribution if none was selected) and
-        charge each query once.  A model failure releases and charges nothing.
+        (``N`` subsample uniforms, then its token uniform), search in one
+        call the selected (query, member) pairs whose (public row, member
+        row) object pair this session has not searched before, each such
+        pair once and re-checking none of these checked distributions, keep
+        their weights once the search returns, mix every selected pair with
+        its query's public distribution at its pair's weight, release each
+        query's mean projection (its public distribution if none was
+        selected) and charge each query once.  A model or search failure
+        releases, keeps and charges nothing.
         Returns the released stack, the public distributions, the draws, and
         the selected members and their weights in (query, member) order.
         """
@@ -113,22 +123,26 @@ class PredictionSession:
         lams = np.empty(0)
         if owners.size:
             # a row's weight depends only on the row and its reference, so
-            # each distinct (public row, member row) object pair is projected
-            # once: members that never saw a window share one row object.
-            # firsts keeps every keyed row alive, so no id is reused.
-            firsts, picks, seen = [], [], {}
+            # each distinct (public row, member row) object pair is searched
+            # once per session: members that never saw a window share one row
+            # object.  An entry keeps both rows alive, so no id is reused.
+            weights, new, rows, keys = self._weights, {}, [], []
             for i, m in zip(owners.tolist(), members.tolist()):
                 row = self.ensemble[m].distribution(queries[i])
-                pick = seen.setdefault((id(publics[i]), id(row)), len(firsts))
-                if pick == len(firsts):
-                    firsts.append((i, row))
-                picks.append(pick)
-            # row j against its own query's public row, for one query too
-            rows = np.array([row.probs for _, row in firsts])
-            refs = released[[i for i, _ in firsts]]
-            lams = _search_lambdas(rows, refs, float(self.params.alpha), self.beta_star)
-            projected = _mix_arrays(rows, refs, lams[:, np.newaxis])[picks]
-            lams = lams[picks]
+                key = (id(publics[i]), id(row))
+                if key not in weights:
+                    new.setdefault(key, (i, row))
+                rows.append(row.probs)
+                keys.append(key)
+            if new:
+                # row j against its own query's public row, for one query too
+                found = _search_lambdas(np.array([row.probs for _, row in new.values()]),
+                                        released[[i for i, _ in new.values()]],
+                                        float(self.params.alpha), self.beta_star)
+                for (key, (i, row)), lam in zip(new.items(), found.tolist()):
+                    weights[key] = (lam, publics[i], row)
+            lams = np.array([weights[key][0] for key in keys])
+            projected = _mix_arrays(np.array(rows), released[owners], lams[:, np.newaxis])
             # np.nonzero lists the pairs query by query, so each query's
             # projections are one run of rows, averaged in draw order
             bounds = np.searchsorted(owners, np.arange(b + 1)).tolist()
@@ -144,14 +158,16 @@ class PredictionSession:
 
         The one-query case of :meth:`answer_block`, refused (without drawing
         or charging) once the budget is spent, plus the token drawn from the
-        query's token uniform.  A model failure releases and charges nothing.
+        query's token uniform.  A model failure releases and charges nothing,
+        and a query id that is not an integer is refused before any draw.
         """
+        context = token_ids(query)
         released, publics, draws, subset, lams = self._answer([query])
         # an empty subset releases the public distribution object itself
         dist = Distribution._already_normalized(released[0]) if subset.size else publics[0]
         token = _token_at(released[0], draws[0, self.params.N])
         record = QueryRecord(
-            query_context=tuple(int(t) for t in query),
+            query_context=context,
             subset=tuple(subset.tolist()),
             mixing_weights=dict(zip(subset.tolist(), lams.tolist())),
             aggregate=dist,

@@ -140,57 +140,129 @@ def test_respond_matches_the_per_query_oracle(instance):
         assert outcomes[0] == outcomes[1]
 
 
+def selected(session, b):
+    """The (query, member) pairs that the session's next request of ``b``
+    queries selects: row ``j`` of ``rng.random((b, N + 1))`` holds query
+    ``j``'s ``N`` subsample uniforms, read here from a copy of the generator."""
+    rng = np.random.Generator(type(session.rng.bit_generator)())
+    rng.bit_generator.state = session.rng.bit_generator.state
+    n = session.params.N
+    owners, members = np.nonzero(rng.random((b, n + 1))[:, :n] < session.params.q)
+    return list(zip(owners.tolist(), members.tolist()))
+
+
+def interleave(session, queries, sizes):
+    """Answer ``queries`` in order through both entry points: a size of 0 sends
+    the next query to ``respond``, a size ``k > 0`` the next ``k`` to one
+    ``answer_block``, and the queries left after ``sizes`` go to ``respond``.
+    Yields each request's queries, its selected (query, member) pairs, its
+    released rows and, for ``respond``, its token and record (else None)."""
+    done = 0
+    for size in [*sizes, *[0] * len(queries)]:
+        if done == len(queries):
+            return
+        chunk = queries[done:done + max(size, 1)]
+        pairs = selected(session, len(chunk))
+        if size:
+            yield chunk, pairs, session.answer_block(chunk), None
+        else:
+            token, record = session.respond(chunk[0])
+            yield chunk, pairs, record.aggregate.probs[np.newaxis], (token, record)
+        done += len(chunk)
+
+
+requests = st.lists(st.integers(0, 2 * QUERY_BLOCK), max_size=6)
+
+
 @settings(max_examples=50, deadline=None)
-@given(evaluations())
-def test_each_distinct_row_pair_is_projected_once(instance):
-    """A block and each ``respond`` pass one row per distinct (public row,
-    member row) object pair to the projection search, with a ``(k, V)`` stack of
-    references whose row ``j`` is the public row of pair ``j``'s query, for
-    one query as for many; return one weight per selected (query, member)
-    pair; and release what the oracle releases."""
+@given(evaluations(), requests)
+def test_each_distinct_row_pair_is_projected_once(instance, sizes):
+    """Across a session's interleaved ``respond`` and ``answer_block``
+    requests, no (public row, member row) object pair reaches the projection
+    search twice: each request searches, in one call whose ``(k, V)`` stack
+    of references holds in row ``j`` the public row of pair ``j``'s query,
+    exactly the pairs it selected that no earlier request searched, in the
+    order they first appear, and makes no call when there are none; and the
+    session releases what the per-query oracle releases."""
     members, public, sequences, params, seed = instance
     queries = [seq[:t] for seq in sequences for t in range(len(seq) + 1)][:params.T]
-
-    def distinct(pairs):
-        """The query of each distinct (public row, member row) object pair,
-        in the order the pairs first appear."""
-        firsts = {}
-        for query, m in pairs:
-            key = (id(public.distribution(query)), id(members[m].distribution(query)))
-            firsts.setdefault(key, query)
-        return list(firsts.values())
-
-    def check_calls(pairs):
-        firsts = distinct(pairs)
-        assert len(calls) == (1 if firsts else 0)
-        for rows, refs in calls:
-            assert isinstance(refs, np.ndarray)
-            assert refs.shape == rows.shape == (len(firsts), public.vocab.size)
-            assert [ref.tobytes() for ref in refs] \
-                == [public.distribution(query).probs.tobytes() for query in firsts]
-        del calls[:]
 
     def session():
         return PredictionSession(members, public, params, mode=EpsMode.PAPER_FAITHFUL, seed=seed)
 
     reference = session()
     oracle = [per_query_respond.respond(reference, query)[1] for query in queries]
-    calls, solve = [], protocol._search_lambdas
+    calls, searched, solve = [], [], protocol._search_lambdas
     with mock.patch.object(protocol, "_search_lambdas",
                            lambda rows, refs, *args: calls.append((rows, refs))
                            or solve(rows, refs, *args)):
-        released, _, draws, subset, lams = session()._answer(queries)
-        owners = np.nonzero(draws[:, :params.N] < params.q)[0]
-        check_calls([(queries[i], m) for i, m in zip(owners.tolist(), subset.tolist())])
-        assert lams.shape == subset.shape
-        assert [row.tobytes() for row in released] == [r.aggregate.probs.tobytes() for r in oracle]
-        served = session()
-        for query, expected in zip(queries, oracle):
-            record = served.respond(query)[1]
-            check_calls([(query, m) for m in record.subset])
-            assert tuple(record.mixing_weights) == record.subset
-            assert record.mixing_weights == expected.mixing_weights
-            assert record.aggregate.probs.tobytes() == expected.aggregate.probs.tobytes()
+        done = 0
+        for chunk, pairs, released, answer in interleave(session(), queries, sizes):
+            new = {}
+            for i, m in pairs:
+                key = (id(public.distribution(chunk[i])), id(members[m].distribution(chunk[i])))
+                if key not in searched:
+                    new.setdefault(key, (chunk[i], m))
+            assert len(calls) == (1 if new else 0)
+            for rows, refs in calls:
+                assert isinstance(refs, np.ndarray)
+                assert refs.shape == rows.shape == (len(new), public.vocab.size)
+                assert [ref.tobytes() for ref in refs] \
+                    == [public.distribution(query).probs.tobytes() for query, _ in new.values()]
+                assert [row.tobytes() for row in rows] \
+                    == [members[m].distribution(query).probs.tobytes() for query, m in new.values()]
+            searched.extend(new)
+            del calls[:]
+            expected = oracle[done:done + len(chunk)]
+            assert [row.tobytes() for row in released] \
+                == [record.aggregate.probs.tobytes() for record in expected]
+            if answer is not None:
+                record = answer[1]
+                assert tuple(record.mixing_weights) == record.subset
+                assert record.mixing_weights == expected[0].mixing_weights
+            done += len(chunk)
+    assert len(searched) == len(set(searched))
+
+
+class FreshRows:
+    """A duck-typed model that returns a new ``Distribution`` object, equal to
+    its model's row, on every call: a weight kept under the id of a row that
+    had died would show when a later row took that id."""
+
+    def __init__(self, model):
+        self.model, self.vocab = model, model.vocab
+
+    def distribution(self, context):
+        return Distribution._already_normalized(self.model.distribution(context).probs.copy())
+
+
+@settings(max_examples=50, deadline=None)
+@given(evaluations(), requests, st.data())
+def test_an_interleaved_session_matches_the_per_query_oracle(instance, sizes, data):
+    """Releases, tokens, subsets and weights bit for bit, and the ledger and
+    generator after every request, whatever mix of ``respond`` and
+    ``answer_block`` requests and of fresh and kept row objects serves it."""
+    members, public, sequences, params, seed = instance
+    fresh = data.draw(st.lists(st.booleans(), min_size=len(members) + 1,
+                               max_size=len(members) + 1))
+    public = FreshRows(public) if fresh[0] else public
+    members = [FreshRows(m) if f else m for m, f in zip(members, fresh[1:])]
+    queries = [seq[:t] for seq in sequences for t in range(len(seq) + 1)][:params.T]
+    served, reference = (PredictionSession(members, public, params,
+                                           mode=EpsMode.PAPER_FAITHFUL, seed=seed)
+                         for _ in range(2))
+    for chunk, _, released, answer in interleave(served, queries, sizes):
+        expected = [per_query_respond.respond(reference, query) for query in chunk]
+        assert [row.tobytes() for row in released] \
+            == [record.aggregate.probs.tobytes() for _, record in expected]
+        if answer is not None:
+            (token, record), (want_token, want) = answer, expected[0]
+            assert (token, record.query_context, record.subset, record.mixing_weights) \
+                == (want_token, want.query_context, want.subset, want.mixing_weights)
+        assert (served.ledger.queries_answered, served.ledger.spent,
+                served.rng.bit_generator.state) \
+            == (reference.ledger.queries_answered, reference.ledger.spent,
+                reference.rng.bit_generator.state)
 
 
 @pytest.fixture
@@ -252,3 +324,29 @@ def test_every_block_row_is_inside_the_ball(vocab):
         # a mean of in-ball projections stays in the ball: the divergence is
         # jointly quasi-convex
         assert symmetric_renyi(Distribution(row), public, alpha) <= beta * alpha + 1e-12
+
+
+def test_a_failed_search_keeps_no_weight_and_charges_nothing(vocab):
+    rng = np.random.default_rng(3)
+    members = [StaticTableModel(vocab, {(t,): Distribution(rng.dirichlet(np.ones(4)))
+                                        for t in range(4)}) for _ in range(3)]
+    served, reference = (session_over(vocab, members, T=8) for _ in range(2))
+    for query in ([1], [2], [1]):
+        served.respond(query)
+        per_query_respond.respond(reference, query)
+    kept = list(served._weights.items())
+    with mock.patch.object(protocol, "_search_lambdas", side_effect=RuntimeError("search failed")):
+        with pytest.raises(RuntimeError, match="search failed"):
+            served.respond([3])
+        with pytest.raises(RuntimeError, match="search failed"):
+            served.answer_block([[1], [3]])  # [1]'s pairs are kept, [3]'s are not
+    assert list(served._weights.items()) == kept
+    assert served.ledger.queries_answered == 3
+    # the failed requests drew their uniforms, so the oracle skips them too
+    reference.rng.bit_generator.state = served.rng.bit_generator.state
+    for query in ([3], [1], [3]):
+        token, record = served.respond(query)
+        want_token, want = per_query_respond.respond(reference, query)
+        assert (token, record.subset, record.mixing_weights, record.aggregate.probs.tobytes()) \
+            == (want_token, want.subset, want.mixing_weights, want.aggregate.probs.tobytes())
+    assert served.ledger.spent == reference.ledger.spent

@@ -228,7 +228,7 @@ class TestNGram:
         assert NGramModel(2, 8e307, Vocabulary(["<unk>", "a"])).distribution([1]).probs.tolist() \
             == [0.5, 0.5]
 
-    @pytest.mark.parametrize("token", [1.7, 2.0, "2", np.float64(2.0)])
+    @pytest.mark.parametrize("token", [1.7, 2.0, "2", np.float64(2.0), np.array(2.5)])
     def test_training_refuses_a_token_id_that_is_not_an_integer(self, vocab, token):
         """Read with int(), 1.7 would count as token 1."""
         with pytest.raises(ValueError, match=re.escape(f"token id {token!r} is not an integer")):
@@ -296,6 +296,21 @@ class TestEnsembleAverage:
         renamed = Vocabulary(["<unk>", "a", "b", "z"])
         with pytest.raises(ValueError, match="ensemble member 2 has"):
             EnsembleAverageModel(members[:1] * 2 + [train_ngram([], 2, 0.1, renamed)])
+
+
+@pytest.mark.parametrize("model", [
+    lambda v: train_ngram([[1, 2, 3]], 2, 0.1, v),
+    lambda v: train_ngram([[1, 2, 3]], 3, 0.1, v),
+    lambda v: StaticTableModel(v, {(1,): Distribution([0.1, 0.2, 0.3, 0.4])}),
+    lambda v: EnsembleAverageModel([train_ngram([[1, 2, 3]], 2, 0.1, v)] * 2),
+], ids=["bigram", "trigram", "table", "ensemble"])
+@pytest.mark.parametrize("token", [1.7, 2.0, "2", np.float64(1.0), np.array(1.5)])
+def test_a_context_id_that_is_not_an_integer_is_refused(vocab, model, token):
+    """Read with int(), 1.7 would select the row of context id 1."""
+    model = model(vocab)
+    with pytest.raises(ValueError, match=re.escape(f"token id {token!r} is not an integer")):
+        model.distribution([3, token])
+    assert model.distribution([3, np.int64(1)]) is model.distribution([3, 1])
 
 
 class TestCorpusIO:
@@ -472,6 +487,41 @@ class TestSnapshotRefusals:
         records[0]["tokens"] = tokens
         with pytest.raises(ValueError, match=f"^snapshot line 1: {problem}"):
             load_snapshot(_write(path, records))
+
+    @pytest.mark.parametrize("line", [1, 3, 6])
+    @pytest.mark.parametrize("blank", ["\n", "  \n"], ids=["empty", "spaces"])
+    def test_a_blank_line_is_refused(self, vocab, tmp_path, line, blank):
+        """save_snapshot writes none, before, between or after the records."""
+        path, _ = _snapshot_records(vocab, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(line - 1, blank)
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^snapshot line {line}: expected .*, "
+                                             "got a blank line$"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("line, field, problem", [
+        (1, "extra", "vocab record has fields extra that it does not define"),
+        (1, "role", "vocab record has fields role that it does not define"),
+        (2, "index", "public record has fields index that it does not define"),
+        (5, "extra", "member record has fields extra that it does not define"),
+    ])
+    def test_a_field_its_kind_does_not_define_is_refused(self, vocab, tmp_path, line, field,
+                                                          problem):
+        path, records = _snapshot_records(vocab, tmp_path)
+        records[line - 1][field] = None if field == "role" else 1
+        with pytest.raises(ValueError, match=f"^snapshot line {line}: {problem}$"):
+            load_snapshot(_write(path, records))
+
+    def test_key_order_and_spacing_are_still_read(self, vocab, tmp_path):
+        """Not byte-canonical: a hash of the bytes must hash the re-saved form."""
+        path, records = _snapshot_records(vocab, tmp_path)
+        expected = path.read_bytes()
+        path.write_text("".join(json.dumps(dict(reversed(r.items())), separators=(" ,", " :"))
+                                + "\n" for r in records), encoding="utf-8")
+        again = tmp_path / "again.jsonl"
+        save_snapshot(again, *load_snapshot(path))
+        assert again.read_bytes() == expected != path.read_bytes()
 
     @pytest.mark.parametrize("line, field, problem", [
         (1, "tokens", "vocab record misses tokens"),

@@ -195,6 +195,25 @@ class TestSession:
             session.respond([1])
         assert session.ledger.queries_answered == 0
 
+    @pytest.mark.parametrize("token", [1.7, "2"])
+    def test_a_query_id_that_is_not_an_integer_is_refused_before_any_draw(self, vocab, token):
+        class AnyContext:
+            """Reads no context, so only the session can refuse the query."""
+            def __init__(self, vocab):
+                self.vocab, self.row = vocab, Distribution([0.1, 0.2, 0.3, 0.4])
+
+            def distribution(self, context):
+                return self.row
+
+        params = PrivacyParams(1.0, 1e-5, 5, 3, 1.0, 1)
+        session = PredictionSession([AnyContext(vocab)], AnyContext(vocab), params, seed=0)
+        state = session.rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(f"token id {token!r} is not an integer")):
+            session.respond([1, token])
+        assert session.ledger.queries_answered == 0
+        assert session.rng.bit_generator.state == state
+        assert session.respond([np.int64(1)])[1].query_context == (1,)
+
     def test_refuses_a_member_of_another_vocabulary(self, vocab):
         """Refused at construction, naming the member, not by a broadcast
         error inside the first answer's search."""

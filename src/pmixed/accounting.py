@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 # exp() overflows around 709; switch to shifted log forms above this
@@ -158,6 +158,12 @@ class PrivacyParams:
         object.__setattr__(self, "alpha", check_integer_order(self.alpha))
         check_probability(self.q, "q", allow_one=True)
         object.__setattr__(self, "N", check_positive_int(self.N, "N"))
+
+    @classmethod
+    def of(cls, source, N) -> "PrivacyParams":
+        """The parameters over ``N`` members that ``source`` names by field:
+        an ``ExperimentConfig``, or the flags the CLI parses into the same names."""
+        return cls(**{f.name: getattr(source, f.name) for f in fields(cls) if f.name != "N"}, N=N)
 
 
 def beta_max(N: int, eps_g: float, T: int, alpha: int) -> float:
@@ -389,14 +395,8 @@ class Accountant:
 
     def record(self) -> dict:
         """The accounting summary written into reports, traces and ``pmixed account``."""
-        p = self.params
         return {
-            "eps_g": p.eps_g,
-            "delta": p.delta,
-            "T": p.T,
-            "alpha": p.alpha,
-            "q": p.q,
-            "N": p.N,
+            **asdict(self.params),
             "mode": self.mode.value,
             "beta_star": self.beta_star,
             "per_query_eps": self.per_query_eps,

@@ -86,9 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     predict = commands.add_parser("predict", help="answer queries from a snapshot")
     predict.add_argument("--snapshot", required=True)
-    predict.add_argument("--context", action="append", default=None,
-                         help="context tokens (repeatable); reads stdin when omitted")
-    predict.add_argument("--input", default=None, help="file of contexts, one per line")
+    contexts = predict.add_mutually_exclusive_group()
+    contexts.add_argument("--context", action="append", default=None,
+                          help="context tokens (repeatable); reads stdin when omitted")
+    contexts.add_argument("--input", default=None, help="file of contexts, one per line")
     predict.add_argument("--steps", type=int, default=1,
                          help="tokens to generate per context (each costs one query)")
     _add_flags(predict, *_PRIVACY_FLAGS, "--mode", "--seed")
@@ -123,11 +124,6 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_file(args.config).replace(**changes)
 
 
-def _params(args, n_models: int) -> PrivacyParams:
-    return PrivacyParams(eps_g=args.eps_g, delta=args.delta, T=args.T,
-                         alpha=args.alpha, q=args.q, N=n_models)
-
-
 def _cmd_train(args, out) -> int:
     vocab, private_seqs, public_seqs = _load_inputs(
         args.private_corpus_path, args.public_corpus_path, args.vocab_path)
@@ -154,10 +150,8 @@ def _iter_contexts(args):
 
 def _cmd_predict(args, out) -> int:
     check_positive_int(args.steps, "--steps")
-    if args.trace:  # refused before any token is released without its trace
-        _check_output_path(args.trace, "trace")
     vocab, public, members = load_snapshot(args.snapshot)
-    session = PredictionSession(members, public, _params(args, len(members)),
+    session = PredictionSession(members, public, PrivacyParams.of(args, len(members)),
                                 mode=args.mode, seed=args.seed)
     sink = open(args.output, "w", encoding="utf-8") if args.output else out
     trace = []
@@ -201,7 +195,7 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_account(args, out) -> int:
-    accountant = Accountant(_params(args, args.n_models), args.mode)
+    accountant = Accountant(PrivacyParams.of(args, args.n_models), args.mode)
     line = _record_line({"record": "accountant", **accountant.record()})
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -218,8 +212,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for label in ("output", "trace"):  # compare's and sweep's output_path: validate
+            if path := getattr(args, label, None):
+                _check_output_path(path, label)
         return args.handler(args, sys.stdout)
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:  # a ConfigError is a ValueError
         print(parser.format_usage(), file=sys.stderr, end="")
         print(f"error: {err}", file=sys.stderr)
         return 2

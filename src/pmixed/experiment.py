@@ -110,14 +110,7 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def params(self) -> PrivacyParams:
-        return PrivacyParams(
-            eps_g=self.eps_g,
-            delta=self.delta,
-            T=self.T,
-            alpha=self.alpha,
-            q=self.q,
-            N=self.n_models,
-        )
+        return PrivacyParams.of(self, self.n_models)
 
     def validate(self) -> "ExperimentConfig":
         """Check the paths and values; returns this config with every count
@@ -428,13 +421,16 @@ def run_sweep(config: ExperimentConfig, axis: str, values: Sequence) -> Experime
     """Repeat the comparison for each value of one hyperparameter.
 
     ``axis`` is one of ``eps_G``, ``T``, ``N``, ``q``, ``alpha``.  The base
-    config is validated before any point, as :func:`run_comparison` would;
-    a failing value is recorded as a failed row and the sweep continues.
+    config is validated before any point, as :func:`run_comparison` would,
+    and so is the table's path, ``<output>.tsv``; a failing value is
+    recorded as a failed row and the sweep continues.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
     field_name = SWEEP_AXES[axis]
     config = config.validate()
+    if config.output_path:
+        _check_output_path(str(config.output_path) + ".tsv", "table")
     seeds = [config.seed + r for r in range(config.runs)]
     report = ExperimentReport(config=config.to_dict(), seed_schedule=seeds)
     caster = type(getattr(ExperimentConfig, field_name))

@@ -109,6 +109,10 @@ class Vocabulary:
         tokens = tuple(tokens)
         if len(tokens) < 2:
             raise ValueError("vocabulary must contain at least 2 tokens")
+        for i, tok in enumerate(tokens):  # a corpus token, split on whitespace, must match it
+            if not (isinstance(tok, str) and tok.split() == [tok]):
+                raise ValueError("vocab tokens must be a list of strings, each non-empty and "
+                                 f"without whitespace; token {i} is {tok!r}")
         if len(set(tokens)) != len(tokens):
             raise ValueError("vocabulary tokens must be distinct")
         self.tokens = tokens
@@ -144,8 +148,12 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
+        """Read a vocab file: line ``i + 1`` holds the token of id ``i``."""
         with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+            tokens = [line.rstrip("\n") for line in fh]
+        if "" in tokens:  # skipping it would shift every later id
+            i = tokens.index("")
+            raise ValueError(f"vocab line {i + 1} (token id {i}) is blank")
         return cls(tokens)
 
     def to_file(self, path) -> None:
@@ -414,10 +422,9 @@ def load_snapshot(path) -> tuple[Vocabulary, NGramModel, list[NGramModel]]:
                     raise ValueError(f"{role or kind} record has fields {', '.join(extra)} "
                                      f"that it does not define")
                 if kind == "vocab":
-                    if not (isinstance(record["tokens"], list)
-                            and all(isinstance(t, str) for t in record["tokens"])):
+                    if not isinstance(record["tokens"], list):
                         raise ValueError("vocab tokens must be a list of strings")
-                    vocab = Vocabulary(record["tokens"])  # too few or repeated tokens are refused
+                    vocab = Vocabulary(record["tokens"])  # refuses each bad token
                     continue
                 if role == "member" and not (type(index := record["index"]) is int
                                              and index == number - 3):

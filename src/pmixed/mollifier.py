@@ -80,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import _check_radius, check_positive
+from .accounting import _check_radius, _real, check_positive
 from .divergence import (NORMALIZATION_ATOL, Distribution, _as_probs, _matched,
                          _renyi_arrays, check_order, check_probabilities)
 
@@ -124,11 +124,10 @@ def mix(p, p0, lam) -> Distribution:
     Raw arrays are checked and used as given, not renormalized, so this is
     bit for bit the mixture :func:`solve_lambdas` verifies.
     """
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
+    if not (_real(lam) and 0.0 <= lam <= 1.0):
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
     pa, qa = _matched(p, p0)
-    return Distribution._already_normalized(_mix_arrays(pa, qa, lam))
+    return Distribution._already_normalized(_mix_arrays(pa, qa, float(lam)))
 
 
 def _power_sum(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from pmixed import (
     AccountantLedger,
     BudgetExhaustedError,
     EpsMode,
+    ExperimentConfig,
     PrivacyParams,
     base_eps_for_order,
     beta_infinite_order,
@@ -285,6 +286,12 @@ class TestPrivacyParams:
             with pytest.raises(ValueError, match="T must be a positive integer"):
                 PrivacyParams(**{**TABLE_PARAMS, "T": bad})
 
+    def test_of_a_config_is_the_explicit_constructor(self):
+        config = ExperimentConfig("p.txt", "b.txt", "t.txt", eps_g=2.0, delta=1e-6, T=64.0,
+                                  alpha=4, q=0.5, n_models=7)
+        explicit = PrivacyParams(eps_g=2.0, delta=1e-6, T=64, alpha=4, q=0.5, N=7)
+        assert PrivacyParams.of(config, 7) == config.params() == explicit
+
 
 class TestLedger:
     def params(self, T=1024):
@@ -319,6 +326,7 @@ class TestLedger:
 class TestAccountantRecord:
     def test_contains_the_full_summary(self):
         record = Accountant(PrivacyParams(**TABLE_PARAMS)).record()
+        assert {name: record[name] for name in TABLE_PARAMS} == TABLE_PARAMS
         assert record["mode"] == "conservative"
         assert record["beta_star"] > beta_max(80, 8.0, 1024, 3)
         assert record["composed_eps"] <= 8.0 + 1e-9

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import pmixed.cli as cli
 import pmixed.experiment as experiment
 from pmixed import Accountant, EpsMode, ExperimentConfig, PrivacyParams
 from pmixed.cli import build_parser, main
@@ -94,6 +95,14 @@ class TestFlagTable:
         args = vars(build_parser().parse_args(argv))
         fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert {name: args[name] for name in fields} == dict.fromkeys(fields)
+
+    @pytest.mark.parametrize("argv", [["predict", "--snapshot", "s"], ["account"]])
+    def test_privacy_params_of_the_parsed_flags_is_the_explicit_constructor(self, argv):
+        flags = ["--eps-g", "2", "--delta", "1e-6", "--queries", "64", "--alpha", "4",
+                 "--q", "0.5"]
+        args = build_parser().parse_args(argv + flags)
+        assert PrivacyParams.of(args, 7) \
+            == PrivacyParams(eps_g=2.0, delta=1e-6, T=64, alpha=4, q=0.5, N=7)
 
     def test_account_without_flags_prints_the_default_record(self, capsys):
         assert main(["account"]) == 0
@@ -283,6 +292,41 @@ class TestTrainAndPredict:
             assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--output"), ("predict", "--output"), ("predict", "--trace"),
+        ("account", "--output"), ("predict", "--snapshot"), ("predict", "--input"),
+    ])
+    def test_a_directory_as_a_named_file_exits_2_without_a_traceback(
+            self, snapshot, tiny_corpus, tmp_path, capsys, monkeypatch, command, flag):
+        if flag in ("--output", "--trace"):  # checked before anything is loaded or trained
+            def no_work(*args, **kwargs):
+                raise AssertionError(f"worked before {flag} was checked")
+
+            for name in ("_load_inputs", "_train_arms", "load_snapshot", "Accountant"):
+                monkeypatch.setattr(cli, name, no_work)
+        root = tiny_corpus["root"]
+        argv = {"train": ["train", "--private-corpus", str(root / "private.txt"),
+                          "--public-corpus", str(root / "public.txt")],
+                "predict": ["predict", "--snapshot", str(snapshot), "--q", "0.5"]
+                           + ([] if flag == "--input" else ["--context", "v1"]),
+                "account": ["account"]}[command]
+        assert main([*argv, flag, str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        problem = (f"{flag[2:]} path is a directory" if flag in ("--output", "--trace")
+                   else "Is a directory")
+        assert "error: " in captured.err and problem in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_predict_refuses_both_context_and_input(self, snapshot, capsys, tmp_path):
+        contexts = tmp_path / "contexts.txt"
+        contexts.write_bytes(b"\xff\xfe v1\n")  # not UTF-8, so reading it would fail
+        code = main(["predict", "--snapshot", str(snapshot), "--context", "v1",
+                     "--input", str(contexts), "--q", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "argument --input: not allowed with argument --context" in captured.err
+        assert captured.out == ""
+
     def test_predict_reads_input_file(self, snapshot, capsys, tmp_path):
         contexts = tmp_path / "contexts.txt"
         contexts.write_text("v1 v2\nv3\n", encoding="utf-8")
@@ -310,7 +354,7 @@ class TestCompareAndSweep:
         err = capsys.readouterr().err
         assert "usage" in err and "not found" in err
 
-    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    @pytest.mark.parametrize("command", ["compare", "sweep", "train"])
     def test_output_into_a_missing_directory_exits_2_before_training(self, tiny_corpus,
                                                                     tmp_path, capsys,
                                                                     command, monkeypatch):
@@ -318,10 +362,15 @@ class TestCompareAndSweep:
             raise AssertionError("trained before the output path was checked")
 
         monkeypatch.setattr(experiment, "_train_arms", no_training)
+        monkeypatch.setattr(cli, "_train_arms", no_training)
         out = tmp_path / "missing" / "report.jsonl"
-        axis = ["--axis", "eps_G", "--values", "0.5"] if command == "sweep" else []
-        code = main([command, "--config", str(tiny_corpus["config_path"]), *axis,
-                     "--output", str(out)])
+        root = tiny_corpus["root"]
+        argv = {"compare": ["compare", "--config", str(tiny_corpus["config_path"])],
+                "sweep": ["sweep", "--config", str(tiny_corpus["config_path"]),
+                          "--axis", "eps_G", "--values", "0.5"],
+                "train": ["train", "--private-corpus", str(root / "private.txt"),
+                          "--public-corpus", str(root / "public.txt")]}[command]
+        code = main([*argv, "--output", str(out)])
         assert code == 2
         captured = capsys.readouterr()
         assert "error: output directory not found" in captured.err
@@ -406,6 +455,22 @@ class TestCompareAndSweep:
         table = (tmp_path / "sweep.jsonl.tsv").read_text().splitlines()
         assert table[0].startswith("axis\tvalue\tarm")
         assert len(table) == 7  # header + 2 values x 3 arms
+
+    def test_sweep_whose_table_path_is_a_directory_exits_2_before_training(
+            self, tiny_corpus, tmp_path, capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before the table path was checked")
+
+        monkeypatch.setattr(experiment, "_train_arms", no_training)
+        out = tmp_path / "sweep.jsonl"
+        (tmp_path / "sweep.jsonl.tsv").mkdir()
+        code = main(["sweep", "--config", str(tiny_corpus["config_path"]), "--axis", "eps_G",
+                     "--values", "0.5", "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: table path is a directory" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_sweep_rejects_fractional_value_on_integer_axis(self, tiny_corpus, tmp_path,
                                                             capsys):

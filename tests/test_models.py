@@ -57,6 +57,25 @@ class TestVocabulary:
         vocab.to_file(path)
         assert Vocabulary.from_file(path) == vocab
 
+    @pytest.mark.parametrize("token", ["", "a ", " a", "a b", "a\tb", "\r", 7, None])
+    def test_rejects_a_token_that_no_corpus_token_can_match(self, token):
+        with pytest.raises(ValueError, match="^vocab tokens must be a list of strings, each "
+                                             "non-empty and without whitespace; token 2 is "
+                                             + re.escape(repr(token)) + "$"):
+            Vocabulary(["<unk>", "b", token])
+
+    def test_from_file_refuses_a_blank_line_rather_than_shift_the_ids(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<unk>\na\n\nb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^vocab line 3 \(token id 2\) is blank$"):
+            Vocabulary.from_file(path)
+
+    def test_from_file_refuses_a_token_with_a_trailing_space(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<unk>\na \nb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="without whitespace; token 1 is 'a '$"):
+            Vocabulary.from_file(path)
+
 
 class TestPartition:
     def test_two_way_split_of_four(self):
@@ -486,6 +505,15 @@ class TestSnapshotRefusals:
         path, records = _snapshot_records(vocab, tmp_path)
         records[0]["tokens"] = tokens
         with pytest.raises(ValueError, match=f"^snapshot line 1: {problem}"):
+            load_snapshot(_write(path, records))
+
+    @pytest.mark.parametrize("token", ["", "a b", "c\n"])
+    def test_a_vocab_token_with_whitespace_is_refused(self, vocab, tmp_path, token):
+        path, records = _snapshot_records(vocab, tmp_path)
+        records[0]["tokens"][3] = token
+        with pytest.raises(ValueError, match="^snapshot line 1: vocab tokens must be a list of "
+                                             "strings, each non-empty and without whitespace; "
+                                             "token 3 is " + re.escape(repr(token)) + "$"):
             load_snapshot(_write(path, records))
 
     @pytest.mark.parametrize("line", [1, 3, 6])

@@ -62,6 +62,12 @@ class TestMix:
             with pytest.raises(ValueError):
                 mix(p, p, lam)
 
+    @pytest.mark.parametrize("lam", ["0.5", True, False, None, float("nan")])
+    def test_weight_that_is_not_a_real_number_raises(self, lam):
+        p, p0 = Distribution([0.9, 0.1]), Distribution([0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^mixing weight must lie in \[0, 1\], got "):
+            mix(p, p0, lam)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             mix(Distribution([0.5, 0.5]), Distribution([0.25] * 4), 0.5)
